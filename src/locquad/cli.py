@@ -9,6 +9,7 @@ byte-identical; wall time goes to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -16,20 +17,29 @@ import time
 from fractions import Fraction
 
 from . import __version__
-from .forms import QuadraticForm, SymMatrix, equivalent, form_of_matrix, invariants
+from .forms import QuadraticForm, SymMatrix, form_of_matrix, invariants
 from .places import AdditiveCharacter, Place, hilbert_symbol, hilbert_symbol_oracle, parse_rational, square_class, square_class_reps
-from .shintani import check_sign_vectors, c_prime_vector, c_vector, gamma_matrix
-from .stationary import PhasePolynomial, compare_stationary
-from .suites import SUITES, run_suite
-from .symsign import c_constant, epsilon_pair, orbit_invariant, sl_orbit_count, verify_signprop
-from .tate import (
-    MultiplicativeCharacter,
-    padic_sym3_mc_check,
-    real_gamma_matrix_check,
-    real_tate_check,
-    tate_check,
+
+# The analytic modules (weil, stationary, shintani, tate, suites) load numpy
+# and scipy, so each handler imports what it needs: the exact commands run
+# on places, forms and symsign alone.
+
+# The keys of suites.SUITES, kept here so that the parser does not import
+# every suite's module; tests/test_imports.py checks that the two agree.
+SUITE_NAMES = (
+    "hilbert-oracle",
+    "product-formula",
+    "equivalence",
+    "weil-gamma",
+    "weil-equation",
+    "stationary",
+    "signprop",
+    "scaling",
+    "orbits",
+    "shintani",
+    "tate",
+    "sym3-mc",
 )
-from .weil import BallIndicator, gamma_form, verify_weil_equation
 
 SCHEMA = "locquad/1"
 
@@ -177,15 +187,18 @@ def _cmd_hasse(args, parser) -> tuple[dict, bool]:
 def _cmd_equiv(args, parser) -> tuple[dict, bool]:
     q = QuadraticForm.make(args.left, args.place)
     r = QuadraticForm.make(args.right, args.place)
+    left, right = invariants(q), invariants(r)
     return {
         "place": str(args.place),
-        "left": invariants(q).as_dict(),
-        "right": invariants(r).as_dict(),
-        "equivalent": equivalent(q, r),
+        "left": left.as_dict(),
+        "right": right.as_dict(),
+        "equivalent": left.equivalent_to(right),
     }, True
 
 
 def _cmd_gamma(args, parser) -> tuple[dict, bool]:
+    from .weil import gamma_form
+
     if args.infile:
         q = _load_form_json(args.infile, parser)
     else:
@@ -203,6 +216,8 @@ def _cmd_gamma(args, parser) -> tuple[dict, bool]:
 
 
 def _cmd_weil_eq(args, parser) -> tuple[dict, bool]:
+    from .weil import BallIndicator, verify_weil_equation
+
     if args.place.is_real:
         parser.error("--place: the ball-indicator check is p-adic; give p:<prime>")
     q = QuadraticForm.make(args.coeffs, args.place)
@@ -225,6 +240,8 @@ def _cmd_weil_eq(args, parser) -> tuple[dict, bool]:
 
 
 def _cmd_stationary(args, parser) -> tuple[dict, bool]:
+    from .stationary import PhasePolynomial, compare_stationary
+
     if args.place.is_real:
         parser.error("--place: stationary comparison is p-adic; give p:<prime>")
     try:
@@ -243,6 +260,8 @@ def _cmd_stationary(args, parser) -> tuple[dict, bool]:
 
 
 def _cmd_sym_sign(args, parser) -> tuple[dict, bool]:
+    from .symsign import c_constant, epsilon_pair, verify_signprop
+
     if args.left is not None or args.right is not None:
         if args.left is None or args.right is None:
             parser.error("pair mode needs both --left and --right")
@@ -272,6 +291,8 @@ def _cmd_sym_sign(args, parser) -> tuple[dict, bool]:
 
 
 def _cmd_orbits(args, parser) -> tuple[dict, bool]:
+    from .symsign import orbit_invariant, sl_orbit_count
+
     if args.infile:
         q = _load_form_json(args.infile, parser)
         return {
@@ -296,12 +317,12 @@ def _cmd_orbits(args, parser) -> tuple[dict, bool]:
 
 
 def _cmd_shintani(args, parser) -> tuple[dict, bool]:
+    from .shintani import c_closed_form, c_prime_closed_form, c_prime_vector, c_vector, check_sign_vectors, gamma_matrix
+
     n, s = args.n, args.s
     mat = gamma_matrix(n, s)
     c = c_vector(n, s)
     cp = c_prime_vector(n, s)
-    from .shintani import c_closed_form, c_prime_closed_form
-
     err = 0.0
     for j in range(n + 1):
         err = max(err, abs(c[j] - c_closed_form(n, j, s)))
@@ -325,6 +346,8 @@ def _cmd_shintani(args, parser) -> tuple[dict, bool]:
 
 
 def _cmd_tate(args, parser) -> tuple[dict, bool]:
+    from .tate import MultiplicativeCharacter, real_gamma_matrix_check, real_tate_check, tate_check
+
     s = complex(args.s)
     if args.place.is_real:
         if s.imag:
@@ -353,6 +376,8 @@ def _cmd_tate(args, parser) -> tuple[dict, bool]:
 
 
 def _cmd_sym3_mc(args, parser) -> tuple[dict, bool]:
+    from .tate import padic_sym3_mc_check
+
     samples = args.samples
     if samples is None:
         samples = int(os.environ.get("LOCQUAD_MC_SAMPLES", 10**6))
@@ -366,11 +391,15 @@ def _cmd_sym3_mc(args, parser) -> tuple[dict, bool]:
 
 
 def _run_one_suite(item) -> dict:
+    from .suites import run_suite
+
     name, seed, options = item
     return run_suite(name, seed=seed, **options).as_dict()
 
 
 def _cmd_verify(args, parser) -> tuple[dict, bool]:
+    from .suites import SUITES
+
     options = {}
     if args.n is not None:
         options["n"] = args.n
@@ -420,38 +449,33 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"locquad {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_, handler):
-        p = sub.add_parser(name, help=help_)
-        p.set_defaults(handler=handler)
-        return p
-
-    p = add("hilbert", "Hilbert symbol (a,b) at a place", _cmd_hilbert)
+    p = sub.add_parser("hilbert", help="Hilbert symbol (a,b) at a place")
     p.add_argument("--place", type=_arg_place, required=True)
     p.add_argument("--a", type=_arg_rational, required=True)
     p.add_argument("--b", type=_arg_rational, required=True)
     p.add_argument("--oracle", action="store_true", help="also run the lattice-search oracle")
 
-    p = add("square-class", "canonical square-class representative", _cmd_square_class)
+    p = sub.add_parser("square-class", help="canonical square-class representative")
     p.add_argument("--place", type=_arg_place, required=True)
     p.add_argument("--x", type=_arg_rational, required=True)
 
-    p = add("hasse", "rank, det class and Hasse-Witt invariant of a form", _cmd_hasse)
+    p = sub.add_parser("hasse", help="rank, det class and Hasse-Witt invariant of a form")
     p.add_argument("--place", type=_arg_place)
     p.add_argument("--coeffs", type=_arg_coeffs, help="diagonal coefficients, comma separated")
     p.add_argument("--in", dest="infile", help="JSON file with place and coeffs or matrix")
 
-    p = add("equiv", "decide equivalence of two diagonal forms", _cmd_equiv)
+    p = sub.add_parser("equiv", help="decide equivalence of two diagonal forms")
     p.add_argument("--place", type=_arg_place, required=True)
     p.add_argument("--left", type=_arg_coeffs, required=True)
     p.add_argument("--right", type=_arg_coeffs, required=True)
 
-    p = add("gamma", "Weil constant of a form", _cmd_gamma)
+    p = sub.add_parser("gamma", help="Weil constant of a form")
     p.add_argument("--place", type=_arg_place)
     p.add_argument("--coeffs", type=_arg_coeffs)
     p.add_argument("--in", dest="infile", help="JSON file with place and coeffs or matrix")
     p.add_argument("--sign", type=int, choices=(1, -1), default=1, help="sign convention of psi")
 
-    p = add("weil-eq", "functional equation on a ball indicator", _cmd_weil_eq)
+    p = sub.add_parser("weil-eq", help="functional equation on a ball indicator")
     p.add_argument("--place", type=_arg_place, required=True)
     p.add_argument("--coeffs", type=_arg_coeffs, required=True)
     p.add_argument("--center", type=_arg_coeffs, help="ball center, comma separated (default 0)")
@@ -459,29 +483,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sign", type=int, choices=(1, -1), default=1)
     p.add_argument("--tol", type=float, default=1e-9)
 
-    p = add("stationary", "exact oscillatory integral vs critical-point prediction", _cmd_stationary)
+    p = sub.add_parser("stationary", help="exact oscillatory integral vs critical-point prediction")
     p.add_argument("--place", type=_arg_place, required=True)
     p.add_argument("--f", dest="phase", required=True, help="phase polynomial, e.g. 'x^3 - 3*x'")
     p.add_argument("--exponents", type=_arg_ints, default=[1, 2, 3], help="|t| = p^(2m) for these m")
     p.add_argument("--tol", type=float, default=1e-10)
 
-    p = add("sym-sign", "pairing-sign law for symmetric matrices", _cmd_sym_sign)
+    p = sub.add_parser("sym-sign", help="pairing-sign law for symmetric matrices")
     p.add_argument("--place", type=_arg_place, required=True)
     p.add_argument("--left", type=_arg_coeffs, help="diagonal of A")
     p.add_argument("--right", type=_arg_coeffs, help="diagonal of A'")
     p.add_argument("--n", type=int, help="constant mode: check g over all det classes")
 
-    p = add("orbits", "congruence orbit counts at fixed odd n", _cmd_orbits)
+    p = sub.add_parser("orbits", help="congruence orbit counts at fixed odd n")
     p.add_argument("--place", type=_arg_place)
     p.add_argument("--n", type=int, default=3)
     p.add_argument("--in", dest="infile", help="JSON form or matrix: report its orbit invariant")
 
-    p = add("shintani", "gamma matrix row sums vs closed-form products", _cmd_shintani)
+    p = sub.add_parser("shintani", help="gamma matrix row sums vs closed-form products")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--s", type=_arg_s, required=True)
     p.add_argument("--tol", type=float, default=1e-10)
 
-    p = add("tate", "degree-one functional equation at one character", _cmd_tate)
+    p = sub.add_parser("tate", help="degree-one functional equation at one character")
     p.add_argument("--place", type=_arg_place, required=True)
     p.add_argument("--s", type=_arg_s, required=True)
     p.add_argument("--twist", default="1", help="square class: a rational, or 1/u/p/up at odd p")
@@ -489,15 +513,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--zero-tol", type=float, default=1e-13)
 
-    p = add("sym3-mc", "Monte Carlo probe of the degree-three equation", _cmd_sym3_mc)
+    p = sub.add_parser("sym3-mc", help="Monte Carlo probe of the degree-three equation")
     p.add_argument("--p", type=int, default=3)
     p.add_argument("--s", type=_arg_s, default=0.5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=int, default=None, help="default LOCQUAD_MC_SAMPLES or 10^6")
     p.add_argument("--depth", type=int, default=10)
 
-    p = add("verify", "run one named suite, or all gating suites", _cmd_verify)
-    p.add_argument("--suite", help=f"one of: {', '.join(SUITES)}")
+    p = sub.add_parser("verify", help="run one named suite, or all gating suites")
+    p.add_argument("--suite", help=f"one of: {', '.join(SUITE_NAMES)}")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--n", type=int)
     p.add_argument("--place", type=_arg_place)
@@ -509,14 +533,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parse_args leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    t0 = time.perf_counter()
+    parser = _parser()
     args = parser.parse_args(argv)
     if getattr(args, "command", None) == "tate" and args.tol is None:
         args.tol = 1e-6 if args.place.is_real else 1e-9
-    t0 = time.perf_counter()
+    # looked up per call, so that a handler rebound after the parser was
+    # built (by a wrapper or a test) is the one that runs
+    handler = globals()[f"_cmd_{args.command.replace('-', '_')}"]
     try:
-        payload, ok = args.handler(args, parser)
+        payload, ok = handler(args, parser)
     except (ArithmeticError, ValueError) as e:
         _emit({"schema": SCHEMA, "error": str(e), "ok": False})
         print(f"wall {time.perf_counter() - t0:.3f}s", file=sys.stderr)

@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 Rational = Fraction | int
 
 
@@ -27,18 +25,43 @@ def parse_rational(s) -> Fraction:
     return Fraction(str(s).strip())
 
 
+# Miller-Rabin with the first 13 primes as bases is exact below the least
+# strong pseudoprime to all of them (Sorenson and Webster 2017, after
+# Jaeschke 1993): 3317044064679887385961981, about 3.3e24.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin primality test.
+
+    A witness proves n composite at any size; a strong probable prime is
+    certified only below _MR_EXACT_BELOW, and above it ValueError is
+    raised rather than a verdict that could be wrong.
+    """
     if n < 2:
         return False
-    if n < 4:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    if n < 43 * 43:  # no prime factor up to 41, so none at all
         return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
+    if n >= _MR_EXACT_BELOW:
+        raise ValueError(f"cannot certify that {n} is prime: the primality test is exact only below {_MR_EXACT_BELOW}")
     return True
 
 
@@ -238,6 +261,9 @@ def hilbert_symbol_oracle(a: Rational, b: Rational, place: Place) -> int:
     q = p**K
     if q * q > 10**8:
         raise ValueError(f"oracle lattice too large for p={p}")
+    # the only numpy user in this module: the exact paths never load it
+    import numpy as np
+
     z = np.arange(q, dtype=np.int64)
     is_square = np.zeros(q, dtype=bool)
     is_square[(z * z) % q] = True

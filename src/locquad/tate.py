@@ -32,7 +32,6 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from .charsum import BudgetError
 from .forms import SymMatrix, form_of_matrix
@@ -455,6 +454,10 @@ class QuadratureError(ArithmeticError):
 
 
 def _quad_piece(g, lo, hi) -> tuple[float, float]:
+    # scipy.integrate is most of the package's import cost and only the
+    # real place needs it
+    from scipy.integrate import quad
+
     out = quad(g, lo, hi, limit=250, epsabs=1e-13, epsrel=1e-12, full_output=1)
     if len(out) > 3:
         val, err, info, message = out[:4]

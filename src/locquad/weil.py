@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .charsum import BudgetError, padic_poly_sum
-from .forms import QuadraticForm, relative_hasse, witt_filtration_level
+from .forms import QuadraticForm, witt_filtration_level
 from .places import AdditiveCharacter, Place, Rational, valuation
 
 EIGHTH_ROOTS = [cmath.exp(1j * cmath.pi * k / 4) for k in range(8)]

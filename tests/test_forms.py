@@ -94,6 +94,25 @@ def test_real_equivalence_is_signature():
     assert not equivalent(q, QuadraticForm.make([1, -1, -1], REAL))
 
 
+@pytest.mark.parametrize("place", [REAL, Qp(2), Qp(3), Qp(7)], ids=str)
+def test_equivalence_from_invariants_matches_equivalent(place):
+    rng = random.Random(f"equiv:{place}")
+    reps = square_class_reps(place)
+    verdicts = set()
+    for _ in range(200):
+        q, r = (
+            QuadraticForm.make(
+                [rng.choice(reps) * Fraction(rng.randint(1, 6), rng.randint(1, 6)) ** 2 for _ in range(rank)],
+                place,
+            )
+            for rank in (rng.randint(1, 3), rng.randint(1, 3))
+        )
+        verdict = invariants(q).equivalent_to(invariants(r))
+        assert verdict == equivalent(q, r), (q, r)
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
 def test_scaling_by_square_is_equivalence():
     rng = random.Random(11)
     for place in (REAL, Qp(2), Qp(5)):

@@ -1,5 +1,6 @@
 """Hilbert symbols, square classes and additive characters."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from locquad.places import (
     frac_part,
     hilbert_symbol,
     hilbert_symbol_oracle,
+    _is_prime,
     legendre,
     parse_rational,
     square_class,
@@ -54,6 +56,43 @@ def test_place_parse():
         Place.parse("p:9")
     with pytest.raises(ValueError):
         Place.parse("padic:7")
+
+
+def _is_prime_by_trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(10**5) if _is_prime(n)] == [n for n in range(10**5) if _is_prime_by_trial_division(n)]
+
+
+# 2^31 - 1 and 2^61 - 1 (Mersenne), the least primes above 10^12 and 10^18,
+# and the greatest prime below 2^64
+LARGE_PRIMES = [2**31 - 1, 2**61 - 1, 10**12 + 39, 10**18 + 3, 2**64 - 59]
+# Carmichael numbers, then the least strong pseudoprimes to the first 4, 9
+# and 12 prime bases: each fools a weaker test
+PSEUDOPRIMES = [561, 1105, 1729, 2465, 2821, 6601, 8911, 3215031751, 3825123056546413051, 318665857834031151167461]
+
+
+@pytest.mark.parametrize("n", LARGE_PRIMES)
+def test_is_prime_on_large_primes(n):
+    assert _is_prime(n)
+    assert not _is_prime(n * LARGE_PRIMES[0])
+    assert str(Place.parse(f"p:{n}")) == f"p:{n}"
+
+
+@pytest.mark.parametrize("n", PSEUDOPRIMES)
+def test_is_prime_rejects_pseudoprimes(n):
+    assert not _is_prime(n)
+
+
+def test_is_prime_refuses_to_certify_beyond_its_bound():
+    # the least strong pseudoprime to all 13 bases the test uses: composite
+    # (= 1287836182261 * 2575672364521), yet every base passes it
+    psi13 = 3317044064679887385961981
+    assert psi13 == 1287836182261 * 2575672364521
+    with pytest.raises(ValueError, match="cannot certify"):
+        _is_prime(psi13)
 
 
 def test_parse_rational():
