@@ -120,7 +120,9 @@ def __getattr__(name: str):
     module = _MODULE_OF.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(importlib.import_module(f".{module}", __name__), name)
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip __getattr__
+    return value
 
 
 def __dir__() -> list[str]:

@@ -187,12 +187,14 @@ def _cmd_hasse(args, parser) -> tuple[dict, bool]:
 def _cmd_equiv(args, parser) -> tuple[dict, bool]:
     q = QuadraticForm.make(args.left, args.place)
     r = QuadraticForm.make(args.right, args.place)
+    # the invariant tuple is complete (at R the signature fixes the rest),
+    # so equal tuples decide equivalence without a second Hasse product
     left, right = invariants(q), invariants(r)
     return {
         "place": str(args.place),
         "left": left.as_dict(),
         "right": right.as_dict(),
-        "equivalent": left.equivalent_to(right),
+        "equivalent": left == right,
     }, True
 
 
@@ -449,33 +451,38 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"locquad {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("hilbert", help="Hilbert symbol (a,b) at a place")
+    def add(name, help_, handler):
+        p = sub.add_parser(name, help=help_)
+        p.set_defaults(handler=handler)
+        return p
+
+    p = add("hilbert", "Hilbert symbol (a,b) at a place", "_cmd_hilbert")
     p.add_argument("--place", type=_arg_place, required=True)
     p.add_argument("--a", type=_arg_rational, required=True)
     p.add_argument("--b", type=_arg_rational, required=True)
     p.add_argument("--oracle", action="store_true", help="also run the lattice-search oracle")
 
-    p = sub.add_parser("square-class", help="canonical square-class representative")
+    p = add("square-class", "canonical square-class representative", "_cmd_square_class")
     p.add_argument("--place", type=_arg_place, required=True)
     p.add_argument("--x", type=_arg_rational, required=True)
 
-    p = sub.add_parser("hasse", help="rank, det class and Hasse-Witt invariant of a form")
+    p = add("hasse", "rank, det class and Hasse-Witt invariant of a form", "_cmd_hasse")
     p.add_argument("--place", type=_arg_place)
     p.add_argument("--coeffs", type=_arg_coeffs, help="diagonal coefficients, comma separated")
     p.add_argument("--in", dest="infile", help="JSON file with place and coeffs or matrix")
 
-    p = sub.add_parser("equiv", help="decide equivalence of two diagonal forms")
+    p = add("equiv", "decide equivalence of two diagonal forms", "_cmd_equiv")
     p.add_argument("--place", type=_arg_place, required=True)
     p.add_argument("--left", type=_arg_coeffs, required=True)
     p.add_argument("--right", type=_arg_coeffs, required=True)
 
-    p = sub.add_parser("gamma", help="Weil constant of a form")
+    p = add("gamma", "Weil constant of a form", "_cmd_gamma")
     p.add_argument("--place", type=_arg_place)
     p.add_argument("--coeffs", type=_arg_coeffs)
     p.add_argument("--in", dest="infile", help="JSON file with place and coeffs or matrix")
     p.add_argument("--sign", type=int, choices=(1, -1), default=1, help="sign convention of psi")
 
-    p = sub.add_parser("weil-eq", help="functional equation on a ball indicator")
+    p = add("weil-eq", "functional equation on a ball indicator", "_cmd_weil_eq")
     p.add_argument("--place", type=_arg_place, required=True)
     p.add_argument("--coeffs", type=_arg_coeffs, required=True)
     p.add_argument("--center", type=_arg_coeffs, help="ball center, comma separated (default 0)")
@@ -483,29 +490,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sign", type=int, choices=(1, -1), default=1)
     p.add_argument("--tol", type=float, default=1e-9)
 
-    p = sub.add_parser("stationary", help="exact oscillatory integral vs critical-point prediction")
+    p = add("stationary", "exact oscillatory integral vs critical-point prediction", "_cmd_stationary")
     p.add_argument("--place", type=_arg_place, required=True)
     p.add_argument("--f", dest="phase", required=True, help="phase polynomial, e.g. 'x^3 - 3*x'")
     p.add_argument("--exponents", type=_arg_ints, default=[1, 2, 3], help="|t| = p^(2m) for these m")
     p.add_argument("--tol", type=float, default=1e-10)
 
-    p = sub.add_parser("sym-sign", help="pairing-sign law for symmetric matrices")
+    p = add("sym-sign", "pairing-sign law for symmetric matrices", "_cmd_sym_sign")
     p.add_argument("--place", type=_arg_place, required=True)
     p.add_argument("--left", type=_arg_coeffs, help="diagonal of A")
     p.add_argument("--right", type=_arg_coeffs, help="diagonal of A'")
     p.add_argument("--n", type=int, help="constant mode: check g over all det classes")
 
-    p = sub.add_parser("orbits", help="congruence orbit counts at fixed odd n")
+    p = add("orbits", "congruence orbit counts at fixed odd n", "_cmd_orbits")
     p.add_argument("--place", type=_arg_place)
     p.add_argument("--n", type=int, default=3)
     p.add_argument("--in", dest="infile", help="JSON form or matrix: report its orbit invariant")
 
-    p = sub.add_parser("shintani", help="gamma matrix row sums vs closed-form products")
+    p = add("shintani", "gamma matrix row sums vs closed-form products", "_cmd_shintani")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--s", type=_arg_s, required=True)
     p.add_argument("--tol", type=float, default=1e-10)
 
-    p = sub.add_parser("tate", help="degree-one functional equation at one character")
+    p = add("tate", "degree-one functional equation at one character", "_cmd_tate")
     p.add_argument("--place", type=_arg_place, required=True)
     p.add_argument("--s", type=_arg_s, required=True)
     p.add_argument("--twist", default="1", help="square class: a rational, or 1/u/p/up at odd p")
@@ -513,14 +520,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--zero-tol", type=float, default=1e-13)
 
-    p = sub.add_parser("sym3-mc", help="Monte Carlo probe of the degree-three equation")
+    p = add("sym3-mc", "Monte Carlo probe of the degree-three equation", "_cmd_sym3_mc")
     p.add_argument("--p", type=int, default=3)
     p.add_argument("--s", type=_arg_s, default=0.5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=int, default=None, help="default LOCQUAD_MC_SAMPLES or 10^6")
     p.add_argument("--depth", type=int, default=10)
 
-    p = sub.add_parser("verify", help="run one named suite, or all gating suites")
+    p = add("verify", "run one named suite, or all gating suites", "_cmd_verify")
     p.add_argument("--suite", help=f"one of: {', '.join(SUITE_NAMES)}")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--n", type=int)
@@ -545,9 +552,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "command", None) == "tate" and args.tol is None:
         args.tol = 1e-6 if args.place.is_real else 1e-9
-    # looked up per call, so that a handler rebound after the parser was
-    # built (by a wrapper or a test) is the one that runs
-    handler = globals()[f"_cmd_{args.command.replace('-', '_')}"]
+    # the parser stores each handler's name, looked up per call, so that a
+    # handler rebound after the parser was built (by a wrapper or a test) is
+    # the one that runs
+    handler = globals()[args.handler]
     try:
         payload, ok = handler(args, parser)
     except (ArithmeticError, ValueError) as e:

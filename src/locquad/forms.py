@@ -110,16 +110,6 @@ class FormInvariants:
             d["signature"] = list(self.signature)
         return d
 
-    def equivalent_to(self, other: "FormInvariants") -> bool:
-        """The verdict of `equivalent` for the two forms, from their invariants.
-
-        Real (a signature is present): equal signature.  p-adic: equal
-        rank, determinant class and Hasse-Witt invariant.
-        """
-        if self.signature is not None or other.signature is not None:
-            return self.signature == other.signature
-        return (self.rank, self.det_rep, self.hasse) == (other.rank, other.det_rep, other.hasse)
-
 
 def invariants(q: QuadraticForm) -> FormInvariants:
     """The complete local invariant tuple of a nondegenerate form."""

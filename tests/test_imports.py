@@ -66,6 +66,7 @@ def test_public_names_resolve_and_are_listed():
     for name in locquad.__all__:
         assert getattr(locquad, name) is getattr(sys.modules[f"locquad.{locquad._MODULE_OF[name]}"], name)
         assert name in listed
+        assert name in vars(locquad)  # cached: the next lookup is a dict hit
 
 
 def test_suite_names_match_the_suites():
