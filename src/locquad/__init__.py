@@ -52,6 +52,7 @@ _EXPORTS = {
         "gamma_form",
         "gamma_matches_epsilon",
         "gamma_rank1",
+        "gauss_gamma",
         "nearest_eighth_root",
         "verify_weil_equation",
     ),
@@ -86,6 +87,7 @@ _EXPORTS = {
         "c_prime_vector",
         "c_vector",
         "check_sign_vectors",
+        "closed_form_error",
         "expected_sign",
         "expected_sign_prime",
         "gamma_matrix",

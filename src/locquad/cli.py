@@ -20,9 +20,9 @@ from . import __version__
 from .forms import QuadraticForm, SymMatrix, form_of_matrix, invariants
 from .places import AdditiveCharacter, Place, hilbert_symbol, hilbert_symbol_oracle, parse_rational, square_class, square_class_reps
 
-# The analytic modules (weil, stationary, shintani, tate, suites) load numpy
-# and scipy, so each handler imports what it needs: the exact commands run
-# on places, forms and symsign alone.
+# The analytic modules (stationary, shintani, tate, suites, and weil's
+# Gauss sums) load numpy and scipy, so each handler imports what it needs:
+# the exact commands and `gamma` run on places, forms, symsign and weil.
 
 # The keys of suites.SUITES, kept here so that the parser does not import
 # every suite's module; tests/test_imports.py checks that the two agree.
@@ -319,16 +319,13 @@ def _cmd_orbits(args, parser) -> tuple[dict, bool]:
 
 
 def _cmd_shintani(args, parser) -> tuple[dict, bool]:
-    from .shintani import c_closed_form, c_prime_closed_form, c_prime_vector, c_vector, check_sign_vectors, gamma_matrix
+    from .shintani import c_prime_vector, c_vector, check_sign_vectors, closed_form_error, gamma_matrix
 
     n, s = args.n, args.s
     mat = gamma_matrix(n, s)
     c = c_vector(n, s)
     cp = c_prime_vector(n, s)
-    err = 0.0
-    for j in range(n + 1):
-        err = max(err, abs(c[j] - c_closed_form(n, j, s)))
-        err = max(err, abs(cp[j] - c_prime_closed_form(n, j, s)))
+    err = closed_form_error(n, s)
     payload = {
         "n": n,
         "s": str(s),

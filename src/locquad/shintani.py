@@ -82,44 +82,71 @@ def v_entry(n: int, i: int, j: int, s) -> complex:
     return total
 
 
+@lru_cache(maxsize=8, typed=True)
+def _entries(n: int, s) -> tuple[tuple[complex, ...], ...]:
+    """All v_ij(s), rows i: one request reads them for the matrix, both
+    column sums, the closed-form check and the sign vectors."""
+    return tuple(tuple(v_entry(n, i, j, s) for j in range(n + 1)) for i in range(n + 1))
+
+
 def gamma_matrix(n: int, s) -> np.ndarray:
     """The full (n+1) x (n+1) matrix [v_ij(s)], rows i, columns j."""
-    return np.array(
-        [[v_entry(n, i, j, s) for j in range(n + 1)] for i in range(n + 1)]
-    )
+    return np.array(_entries(n, s))
 
 
 def c_vector(n: int, s) -> list[complex]:
     """Column sums over i of v_ij(s), computed from the exact buckets."""
-    return [sum(v_entry(n, i, j, s) for i in range(n + 1)) for j in range(n + 1)]
+    v = _entries(n, s)
+    return [sum(v[i][j] for i in range(n + 1)) for j in range(n + 1)]
 
 
 def c_prime_vector(n: int, s) -> list[complex]:
     """Alternating column sums sum_i (-1)^(n-i) v_ij(s)."""
-    return [
-        sum((-1) ** (n - i) * v_entry(n, i, j, s) for i in range(n + 1))
-        for j in range(n + 1)
-    ]
+    v = _entries(n, s)
+    return [sum((-1) ** (n - i) * v[i][j] for i in range(n + 1)) for j in range(n + 1)]
+
+
+# The closed forms grow like 2^n cosh(pi Im(s) / 2)^n, so in double
+# precision their rounding error alone can pass an absolute 1e-10 gate
+# (n = 7, s = -0.235-0.954j is off by 1.3e-10); 30 digits leave the
+# floating-point bucket sums as the only inexact side.
+_CLOSED_FORM_DPS = 30
+
+
+def _closed_forms(n: int, s) -> tuple[list[complex], list[complex]]:
+    """The closed forms of c_j and c'_j for j = 0..n, at 30 digits."""
+    import mpmath
+
+    with mpmath.workdps(_CLOSED_FORM_DPS):
+        sm = mpmath.mpmathify(s)  # a Fraction converts exactly at this precision
+        # prefix products prod_{k <= m} cos (resp. sin) of pi (k + s) / 2
+        cos_p, sin_p = [mpmath.mpf(1)], [mpmath.mpf(1)]
+        for k in range(1, n + 1):
+            x = mpmath.pi * (k + sm) / 2
+            cos_p.append(cos_p[-1] * mpmath.cos(x))
+            sin_p.append(sin_p[-1] * mpmath.sin(x))
+        c = [complex(2**n * cos_p[j] * cos_p[n - j]) for j in range(n + 1)]
+        cp = [complex((2j) ** n * (-1) ** (n - j) * sin_p[j] * sin_p[n - j]) for j in range(n + 1)]
+    return c, cp
 
 
 def c_closed_form(n: int, j: int, s) -> complex:
-    sf = complex(float(s) if isinstance(s, Fraction) else s)
-    out = complex(2**n)
-    for k in range(1, j + 1):
-        out *= cmath.cos(cmath.pi * (k + sf) / 2)
-    for k in range(1, n - j + 1):
-        out *= cmath.cos(cmath.pi * (k + sf) / 2)
-    return out
+    return _closed_forms(n, s)[0][j]
 
 
 def c_prime_closed_form(n: int, j: int, s) -> complex:
-    sf = complex(float(s) if isinstance(s, Fraction) else s)
-    out = (2j) ** n * (-1) ** (n - j)
-    for k in range(1, j + 1):
-        out *= cmath.sin(cmath.pi * (k + sf) / 2)
-    for k in range(1, n - j + 1):
-        out *= cmath.sin(cmath.pi * (k + sf) / 2)
-    return out
+    return _closed_forms(n, s)[1][j]
+
+
+def closed_form_error(n: int, s) -> float:
+    """Largest |c_j - closed form| and |c'_j - closed form| over j."""
+    closed, closed_prime = _closed_forms(n, s)
+    c = c_vector(n, s)
+    cp = c_prime_vector(n, s)
+    return max(
+        max(abs(x - y) for x, y in zip(c, closed)),
+        max(abs(x - y) for x, y in zip(cp, closed_prime)),
+    )
 
 
 def expected_sign(n: int, j: int) -> int:

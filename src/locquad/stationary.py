@@ -29,6 +29,7 @@ from .charsum import (
     TERM_BUDGET,
     check_budget,
     phase_sum,
+    poly_eval_mod,
     reduce_mod_prime_power,
 )
 from .forms import QuadraticForm, SymMatrix, form_of_matrix
@@ -129,9 +130,7 @@ class PhasePolynomial:
         return 2 if any(k[1] for k, _ in self.terms) else 1
 
     def eval_at(self, point: tuple[int, ...]) -> int:
-        x = point[0]
-        y = point[1] if len(point) > 1 else 0
-        return sum(c * x**k[0] * y**k[1] for k, c in self.terms)
+        return _eval_monomials(self.monomials, point)
 
     def gradient(self) -> list[Monomials]:
         return [_diff_monomials(self.monomials, v) for v in range(self.nvars)]
@@ -200,10 +199,7 @@ def _sum_1d(mon: Monomials, t: Fraction, p: int, e: int) -> complex:
     for k, c in mon.items():
         coeffs[k[0] + k[1]] = reduce_mod_prime_power(t * c * pe, p, e)
     z = np.arange(pe, dtype=np.int64)
-    acc = np.zeros_like(z)
-    for c in reversed(coeffs):
-        acc = (acc * z + c) % pe
-    return phase_sum(acc, p, e) / pe
+    return phase_sum(poly_eval_mod(coeffs, z, pe), p, e) / pe
 
 
 def _sum_2d(f: PhasePolynomial, t: Fraction, p: int, e: int) -> complex:
@@ -227,9 +223,7 @@ def _sum_2d(f: PhasePolynomial, t: Fraction, p: int, e: int) -> complex:
         xs = zs[start : start + chunk]
         nums = np.zeros((xs.size, pe), dtype=np.int64)
         for j in range(dy + 1):
-            cj = np.zeros_like(xs)
-            for c in reversed(xcoeffs[j]):
-                cj = (cj * xs + c) % pe
+            cj = poly_eval_mod(xcoeffs[j], xs, pe)
             nums = (nums + cj[:, None] * ypows[j][None, :]) % pe
         total += phase_sum(nums, p, e)
     return total / pe**2

@@ -28,10 +28,11 @@ from .places import (
     Qp,
     hilbert_symbol,
     hilbert_symbol_oracle,
+    least_nonresidue,
     square_class,
     square_class_reps,
 )
-from .shintani import check_sign_vectors, c_closed_form, c_prime_closed_form, c_prime_vector, c_vector
+from .shintani import check_sign_vectors, closed_form_error
 from .stationary import PhasePolynomial, compare_stationary
 from .symsign import c_constant, epsilon_scaling_check, scaling_invariant, sl_orbit_count
 from .tate import (
@@ -41,7 +42,15 @@ from .tate import (
     real_tate_check,
     tate_check,
 )
-from .weil import BallIndicator, gamma_form, gamma_matches_epsilon, verify_weil_equation
+from .weil import (
+    BallIndicator,
+    gamma_form,
+    gamma_matches_epsilon,
+    gamma_rank1,
+    gauss_gamma,
+    nearest_eighth_root,
+    verify_weil_equation,
+)
 
 
 @dataclass(frozen=True)
@@ -138,9 +147,10 @@ def suite_hilbert_oracle(seed: int = 0, place=None, **_) -> SuiteReport:
 # -- criterion 2 -------------------------------------------------------------
 
 
-def _support_places(a: Fraction, b: Fraction) -> list[Place]:
+def _support_places(*xs: Fraction) -> list[Place]:
+    """R, 2 and the primes dividing a numerator or denominator of xs."""
     primes = {2}
-    for x in (a, b):
+    for x in xs:
         for n in (abs(x.numerator), x.denominator):
             d = 2
             while d * d <= n:
@@ -275,14 +285,26 @@ def suite_weil_gamma(seed: int = 0, place=None, **_) -> SuiteReport:
     cases = []
     for pl in places:
         psi = AdditiveCharacter(pl)
+        # the depth and root cases run the Gauss-sum oracle on the sampled
+        # coefficients as they are, never the closed form or a class
+        # representative: stabilization depth grows with |v(a)|
         worst_root = 0.0
         worst_level = 0
+        worst_closed = 0.0
+        summed = 0
         for _ in range(12):
             q = _moderate_form(rng, pl, rng.randint(1, 4))
-            g = gamma_form(q, psi)
-            worst_root = max(worst_root, g.root_deviation)
-            if g.stabilized_at is not None:
-                worst_level = max(worst_level, g.stabilized_at)
+            if pl.is_real:
+                worst_root = max(worst_root, gamma_form(q, psi).root_deviation)
+                continue
+            value = 1 + 0j
+            for a in q.coeffs:
+                raw = gauss_gamma(a, psi)
+                value *= raw.value
+                worst_level = max(worst_level, raw.stabilized_at)
+                worst_closed = max(worst_closed, abs(raw.value - gamma_rank1(a, psi).value))
+                summed += 1
+            worst_root = max(worst_root, nearest_eighth_root(value)[1])
         cases.append(
             Case(
                 f"{pl}: eighth-root property",
@@ -299,6 +321,21 @@ def suite_weil_gamma(seed: int = 0, place=None, **_) -> SuiteReport:
                 str(worst_level),
             )
         )
+        if not pl.is_real:
+            reps = square_class_reps(pl)
+            for sign in (1, -1):
+                chi = AdditiveCharacter(pl, sign)
+                for a in reps:
+                    worst_closed = max(worst_closed, abs(gauss_gamma(a, chi).value - gamma_rank1(a, chi).value))
+            cases.append(
+                Case(
+                    f"{pl}: closed form = Gauss sum",
+                    worst_closed < 1e-9,
+                    f"closed-form Weil index within 1e-9 of the Gauss sum on {summed} sampled "
+                    f"coefficients and {len(reps)} classes under both signs of psi",
+                    _fmt(worst_closed),
+                )
+            )
         worst = 0.0
         for _ in range(8):
             q = _moderate_form(rng, pl, rng.randint(1, 3))
@@ -353,7 +390,35 @@ def suite_weil_gamma(seed: int = 0, place=None, **_) -> SuiteReport:
                 f"{bad} mismatches",
             )
         )
+    if only is None:
+        cases.append(_weil_reciprocity_case(rng))
     return SuiteReport("weil-gamma", 4, True, tuple(cases), seed)
+
+
+def _weil_reciprocity_case(rng: random.Random, count: int = 40) -> Case:
+    """prod_v gamma_v(q, psi_v) = 1 for rational q and a character of the
+    adeles trivial on Q: psi_R = exp(2 pi i x), and sign -1 at every p.
+    Only R, 2 and the primes of the coefficients can contribute."""
+    big = 10007  # beyond any Gauss sum within the term budget
+    worst = 0.0
+    for i in range(count):
+        coeffs = [
+            Fraction(rng.choice([-1, 1]) * rng.randint(1, 60), rng.randint(1, 60))
+            for _ in range(rng.randint(1, 3))
+        ]
+        if i % 4 == 0:
+            coeffs[0] *= big
+        prod = 1 + 0j
+        for pl in _support_places(*coeffs):
+            psi = AdditiveCharacter(pl, 1 if pl.is_real else -1)
+            prod *= gamma_form(QuadraticForm.make(coeffs, pl), psi).value
+        worst = max(worst, abs(prod - 1))
+    return Case(
+        f"global: prod_v gamma_v(q) = 1 on {count} rational forms of rank 1-3",
+        worst < 1e-9,
+        f"product over R, 2 and the primes of the coefficients (up to {big}) within 1e-9 of 1",
+        _fmt(worst),
+    )
 
 
 # -- criterion 5 -------------------------------------------------------------
@@ -511,13 +576,7 @@ def suite_shintani(seed: int = 0, n=None, **_) -> SuiteReport:
     svals = [Fraction(1, 3), Fraction(-7, 5), 0.37 + 0.24j]
     cases = []
     for nn in ns:
-        worst = 0.0
-        for s in svals:
-            c = c_vector(nn, s)
-            cp = c_prime_vector(nn, s)
-            for j in range(nn + 1):
-                worst = max(worst, abs(c[j] - c_closed_form(nn, j, s)))
-                worst = max(worst, abs(cp[j] - c_prime_closed_form(nn, j, s)))
+        worst = max(closed_form_error(nn, s) for s in svals)
         cases.append(
             Case(
                 f"n={nn}: direct sums vs closed forms at 3 generic s",
@@ -548,7 +607,7 @@ def suite_tate(seed: int = 0, p=None, **_) -> SuiteReport:
     cases = []
     for prime in primes:
         pl = Qp(prime)
-        u = next(x for x in range(2, prime) if pow(x, (prime - 1) // 2, prime) != 1)
+        u = least_nonresidue(prime)
         chars = [
             ("|x|^(-0.5)", MultiplicativeCharacter.make(pl, -0.5)),
             ("|x|^(-0.5+0.7j)", MultiplicativeCharacter.make(pl, -0.5 + 0.7j)),
@@ -675,6 +734,3 @@ def run_suite(name: str, seed: int = 0, **options) -> SuiteReport:
         raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     return SUITES[name](seed=seed, **options)
 
-
-def run_all(seed: int = 0, **options) -> list[SuiteReport]:
-    return [run_suite(name, seed=seed, **options) for name in SUITES]

@@ -89,15 +89,6 @@ def verify_signprop(A, B, place: Place | None = None) -> SignPropReport:
     return SignPropReport(lhs, rhs, lhs == rhs)
 
 
-def det_class_signature(q: QuadraticForm) -> tuple:
-    """Key identifying the det square class (plus signature at R, where
-    congruence preserves it)."""
-    key: tuple = (str(q.det_class()),)
-    if q.place.is_real:
-        key += (q.signature(),)
-    return key
-
-
 def _rep_forms(n: int, place: Place):
     """All diagonal forms with entries running over the square-class
     representatives; every diagonal matrix is congruent to one of them."""

@@ -100,12 +100,6 @@ class MultiplicativeCharacter:
             mag = float(self.place.p) ** (-valuation(x, self.place.p))
         return sym * cmath.exp(self.s * math.log(mag))
 
-    def describe(self) -> str:
-        base = f"|x|^({self.s})"
-        if self.twist.is_trivial():
-            return base
-        return f"(x,{self.twist.rep})*{base}"
-
 
 # ---------------------------------------------------------------------------
 # coset-indicator test functions
@@ -245,16 +239,6 @@ class CosetFunction:
                 y0 = t * step
                 out.append((y0, new_level, complex(base) * psi(r * y0)))
         return CosetFunction(self.place, out)
-
-    def describe(self) -> str:
-        if not self.terms:
-            return "0"
-        p = self.place.p
-        bits = []
-        for r, k, w in self.terms:
-            ws = f"{w:g}" if w.imag == 0 else f"({w:g})"
-            bits.append(f"{ws}*1[{r} + {p}^{k}Z]")
-        return " + ".join(bits)
 
 
 # ---------------------------------------------------------------------------
@@ -441,11 +425,6 @@ class HermiteGaussian:
             shift=-self.shift,
             modulation=-self.modulation,
             scale=self.scale,
-        )
-
-    def describe(self) -> str:
-        return (
-            f"P{tuple(self.poly)} shifted {self.shift}, modulated {self.modulation}"
         )
 
 
@@ -761,6 +740,12 @@ class Sym3MCReport:
         }
 
 
+# Samples per block of the Monte Carlo probe.  Six default runs in one
+# process peaked at 116 MB resident with blocks of 2^17 samples, and at
+# 593 MB with the 10^6 samples in one block.
+_MC_BLOCK_SAMPLES = 1 << 17
+
+
 def default_sym3_cosets(p: int) -> list[Sym3Coset]:
     # both at level one: the ratio variance grows like p^{3 Re s + level}
     # relative to the pairing value, so deeper cosets drown in noise at
@@ -822,45 +807,55 @@ def padic_sym3_mc_check(
     ratios: list[complex] = []
     sigmas: list[float] = []
     batch_ratio_rows = []
+    # whole batches per block bound the working set; the streams are drawn
+    # in the same order and each batch mean is taken over the same samples,
+    # so the result equals that of a single block of n samples
+    block = max(1, _MC_BLOCK_SAMPLES // batch)
     for ci, coset in enumerate(cosets):
         x0 = np.array(coset.center, dtype=np.int64)
         lvl = coset.level
         rng_lhs, rng_rhs = rng_streams[2 * ci], rng_streams[2 * ci + 1]
+        lhs_parts, rhs_parts = [], []
+        for first in range(0, batches, block):
+            nb = min(block, batches - first)
+            m = nb * batch
 
-        # LHS: Y = Y'/p^L with Y' uniform on Sym_3(Z_p); F(phi) carries the
-        # factor p^{-6L} psi(Tr(X0 Y)) on p^{-L} Sym, and the volume of the
-        # Y' domain cancels it, leaving a plain mean.
-        flat = rng_lhs.integers(0, modulus, size=(n, 6), dtype=np.int64)
-        y = _sym_from_flat(flat)
-        dets = _det3_batch(y)
-        zero = dets == 0
-        dropped += int(zero.sum())
-        v = np.where(zero, depth * 3, _vp_array(dets, p))
-        tr_mod = (
-            np.einsum("ij,nji->n", x0, y, dtype=np.int64) % (p**lvl)
-        )
-        weight = np.exp((3 * lvl - v) * s * logp) * np.exp(
-            2j * np.pi * tr_mod / float(p**lvl)
-        )
-        weight[zero] = 0
-        lhs_batches = weight.reshape(batches, batch).mean(axis=1)
+            # LHS: Y = Y'/p^L with Y' uniform on Sym_3(Z_p); F(phi) carries the
+            # factor p^{-6L} psi(Tr(X0 Y)) on p^{-L} Sym, and the volume of the
+            # Y' domain cancels it, leaving a plain mean.
+            flat = rng_lhs.integers(0, modulus, size=(m, 6), dtype=np.int64)
+            y = _sym_from_flat(flat)
+            dets = _det3_batch(y)
+            zero = dets == 0
+            dropped += int(zero.sum())
+            v = np.where(zero, depth * 3, _vp_array(dets, p))
+            tr_mod = (
+                np.einsum("ij,nji->n", x0, y, dtype=np.int64) % (p**lvl)
+            )
+            weight = np.exp((3 * lvl - v) * s * logp) * np.exp(
+                2j * np.pi * tr_mod / float(p**lvl)
+            )
+            weight[zero] = 0
+            lhs_parts.append(weight.reshape(nb, batch).mean(axis=1))
 
-        # RHS: X = X0 + p^L X' with X' uniform; weight eps(q_X)(det,-1)|det|^{-s-2}
-        # and the p^{-6L} volume of the support cancels against the LHS factor.
-        flat = rng_rhs.integers(0, modulus, size=(n, 6), dtype=np.int64)
-        x = x0[None, :, :] + p**lvl * _sym_from_flat(flat)
-        d3 = _det3_batch(x)
-        d1 = x[:, 0, 0]
-        d2 = x[:, 0, 0] * x[:, 1, 1] - x[:, 0, 1] * x[:, 1, 0]
-        eps, bad = _hasse_batch(d1, d2, d3, p)
-        if bad.any():
-            for idx in np.flatnonzero(bad):
-                eps[idx] = _hasse_exact(x[idx], p)
-        vdet = _vp_array(d3, p)
-        minus_one_sym = np.where(vdet & 1, 1 if p % 4 == 1 else -1, 1)
-        volume = float(p) ** (-6 * lvl)
-        rhs_w = eps * minus_one_sym * np.exp(vdet * (s + 2) * logp) * volume
-        rhs_batches = rhs_w.reshape(batches, batch).mean(axis=1) + 0j
+            # RHS: X = X0 + p^L X' with X' uniform; weight eps(q_X)(det,-1)|det|^{-s-2}
+            # and the p^{-6L} volume of the support cancels against the LHS factor.
+            flat = rng_rhs.integers(0, modulus, size=(m, 6), dtype=np.int64)
+            x = x0[None, :, :] + p**lvl * _sym_from_flat(flat)
+            d3 = _det3_batch(x)
+            d1 = x[:, 0, 0]
+            d2 = x[:, 0, 0] * x[:, 1, 1] - x[:, 0, 1] * x[:, 1, 0]
+            eps, bad = _hasse_batch(d1, d2, d3, p)
+            if bad.any():
+                for idx in np.flatnonzero(bad):
+                    eps[idx] = _hasse_exact(x[idx], p)
+            vdet = _vp_array(d3, p)
+            minus_one_sym = np.where(vdet & 1, 1 if p % 4 == 1 else -1, 1)
+            volume = float(p) ** (-6 * lvl)
+            rhs_w = eps * minus_one_sym * np.exp(vdet * (s + 2) * logp) * volume
+            rhs_parts.append(rhs_w.reshape(nb, batch).mean(axis=1) + 0j)
+        lhs_batches = np.concatenate(lhs_parts)
+        rhs_batches = np.concatenate(rhs_parts)
 
         lhs_mean = lhs_batches.mean()
         rhs_mean = rhs_batches.mean()

@@ -12,14 +12,26 @@ and the constant gamma(q, psi) is the eighth root of unity in
     FT(psi(q)) = gamma(q, psi) * |det q|^(-1/2) * psi(-q~),
 
 with the Fourier transform FT(f)(y) = integral f(x) psi(x.y) dx for the
-self-dual Haar measure.  gamma of a rank-1 form a*x^2 is computed as a
-stabilized limit of exact Gauss sums
+self-dual Haar measure.  gamma is a homomorphism under direct sum, and
+gamma(a x^2) depends only on the square class of a, so the hot path
+reads the Weil index of that class in closed form (Weil 1964, Acta
+Math. 111; Rao 1993, Pacific J. Math. 157).  With s = +-1 the sign of
+psi and a = p^v u, u a unit:
+
+    real place:  exp(i pi s sign(a) / 4);
+    odd p:       1 for v even, (u|p) eps_p^s for v odd, where eps_p = 1
+                 if p = 1 mod 4 and i if p = 3 mod 4;
+    p = 2:       zeta_8^(s if u = 1 mod 4, else -s) * (2|u)^v.
+
+The independent oracle, `gauss_gamma`, is the stabilized limit of exact
+Gauss sums of the coefficient as given,
 
     I_m = p^m * |2a|^(1/2) * p^(-K) * sum_{y mod p^K} psi(a y^2 / p^(2m)),
 
 K the exact conductor of the summand; I_m is independent of m once m is
 large enough, and the limit is certified by three consecutive equal
-values.  At the real place gamma(a x^2) = exp(i pi sign(a) / 4).
+values.  Only the oracle and the ball-indicator sums enumerate terms,
+so they alone import `charsum` (and numpy).
 """
 
 from __future__ import annotations
@@ -29,9 +41,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .charsum import BudgetError, padic_poly_sum
 from .forms import QuadraticForm, witt_filtration_level
-from .places import AdditiveCharacter, Place, Rational, valuation
+from .places import AdditiveCharacter, Rational, legendre, unit_part_mod, valuation
 
 EIGHTH_ROOTS = [cmath.exp(1j * cmath.pi * k / 4) for k in range(8)]
 
@@ -47,7 +58,7 @@ class WeilConstant:
     value: complex
     eighth_root_index: int
     root_deviation: float
-    stabilized_at: int | None = None  # Gauss-sum level; None at the real place
+    stabilized_at: int | None = None  # level of the Gauss-sum oracle; None in closed form
 
     def as_dict(self) -> dict:
         return {
@@ -73,7 +84,22 @@ def polarized_det_abs_rsqrt(q: QuadraticForm) -> float:
     return float(q.place.p) ** (valuation(d, q.place.p) / 2)
 
 
-def _rank1_padic(a: Fraction, psi: AdditiveCharacter, tol: float, max_level: int):
+def gauss_gamma(
+    a: Rational,
+    psi: AdditiveCharacter,
+    tol: float = 1e-10,
+    max_level: int = 6,
+) -> WeilConstant:
+    """The oracle for gamma(a x^2, psi) at a p-adic place: the stabilized
+    limit of exact Gauss sums of `a` as given, not of its class
+    representative, so its cost grows with |v(a)| and with p."""
+    from .charsum import padic_poly_sum
+
+    a = Fraction(a)
+    if a == 0:
+        raise ValueError("form coefficient must be nonzero")
+    if psi.place.is_real:
+        raise ValueError("the Gauss-sum oracle is p-adic")
     p = psi.place.p
     scale = math.sqrt(float(p) ** (-valuation(2 * a, p)))  # |2a|^(1/2)
     values = []
@@ -87,46 +113,54 @@ def _rank1_padic(a: Fraction, psi: AdditiveCharacter, tol: float, max_level: int
             and abs(values[-3] - values[-2]) < tol
             and abs(values[-2] - values[-1]) < tol
         ):
-            return values[-1], m - 2
+            k, dev = nearest_eighth_root(values[-1])
+            return WeilConstant(values[-1], k, dev, m - 2)
     raise ArithmeticError(
         f"Gauss sums did not stabilize by level {max_level}: "
         + ", ".join(f"I_{i+1}={v:.6f}" for i, v in enumerate(values))
     )
 
 
-def gamma_rank1(
-    a: Rational,
-    psi: AdditiveCharacter,
-    tol: float = 1e-10,
-    max_level: int = 6,
-) -> WeilConstant:
-    """Weil constant of the rank-1 form a*x^2 under the character psi."""
+def _weil_index(a: Fraction, psi: AdditiveCharacter) -> int:
+    """Eighth-root index k of gamma(a x^2, psi), from the square class of a."""
+    if psi.place.is_real:
+        return psi.sign * (1 if a > 0 else -1) % 8
+    p = psi.place.p
+    odd_v = valuation(a, p) % 2
+    if p == 2:
+        u = unit_part_mod(a, 2, 8)
+        k = psi.sign if u % 4 == 1 else -psi.sign
+        if odd_v and u in (3, 5):  # (2|u) = -1
+            k += 4
+        return k % 8
+    if not odd_v:
+        return 0
+    k = psi.sign * (0 if p % 4 == 1 else 2)  # eps_p^s
+    if legendre(unit_part_mod(a, p, p), p) == -1:
+        k += 4
+    return k % 8
+
+
+def _exact(k: int) -> WeilConstant:
+    return WeilConstant(EIGHTH_ROOTS[k], k, 0.0, None)
+
+
+def gamma_rank1(a: Rational, psi: AdditiveCharacter) -> WeilConstant:
+    """Weil constant of the rank-1 form a*x^2 under the character psi,
+    read from the square class of a in closed form."""
     a = Fraction(a)
     if a == 0:
         raise ValueError("form coefficient must be nonzero")
-    if psi.place.is_real:
-        v = cmath.exp(1j * cmath.pi / 4 * psi.sign * (1 if a > 0 else -1))
-        k, dev = nearest_eighth_root(v)
-        return WeilConstant(v, k, dev, None)
-    value, level = _rank1_padic(a, psi, tol, max_level)
-    k, dev = nearest_eighth_root(value)
-    return WeilConstant(value, k, dev, level)
+    return _exact(_weil_index(a, psi))
 
 
-def gamma_form(q: QuadraticForm, psi: AdditiveCharacter, tol: float = 1e-10) -> WeilConstant:
+def gamma_form(q: QuadraticForm, psi: AdditiveCharacter) -> WeilConstant:
     """gamma(q, psi) = product of the rank-1 constants of the diagonal
-    coefficients (gamma is a homomorphism under direct sum)."""
+    coefficients (gamma is a homomorphism under direct sum), summed
+    exactly as eighth-root indices."""
     if q.place != psi.place:
         raise ValueError("form and character live at different places")
-    value = 1 + 0j
-    level = None
-    for a in q.coeffs:
-        g = gamma_rank1(a, psi, tol)
-        value *= g.value
-        if g.stabilized_at is not None:
-            level = max(level or 1, g.stabilized_at)
-    k, dev = nearest_eighth_root(value)
-    return WeilConstant(value, k, dev, level)
+    return _exact(sum(gamma_rank1(a, psi).eighth_root_index for a in q.coeffs) % 8)
 
 
 @dataclass(frozen=True)
@@ -159,6 +193,8 @@ class WeilEquationReport:
 
 def _coordinate_integral(coeffs: list[Fraction], p: int) -> complex:
     """integral over Z_p of psi_+(f(z)) dz for rational f, exact."""
+    from .charsum import padic_poly_sum
+
     e = max([0] + [-valuation(c, p) for c in coeffs if c])
     value, _ = padic_poly_sum(coeffs, p, e)
     return value

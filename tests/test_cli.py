@@ -141,6 +141,31 @@ def test_gamma_rank_one(capsys):
     assert payload["eighth_root_index"] == 0
 
 
+def test_gamma_deep_square_answers_from_its_class(capsys):
+    # 1/59049 = 3^-10 is a square: its Gauss sum needs 3^16 terms
+    rc, payload, _ = run_json(["gamma", "--place", "p:3", "--coeffs", "1/59049"], capsys)
+    assert rc == 0
+    assert payload["eighth_root_index"] == 0
+    assert payload["root_deviation"] == 0.0
+    assert payload["stabilized_at"] is None
+
+
+def test_gamma_depends_only_on_the_square_class(capsys):
+    answers = []
+    for coeffs in ("1/13", "13"):
+        rc, payload, _ = run_json(["gamma", "--place", "p:13", "--coeffs", coeffs], capsys)
+        assert rc == 0
+        answers.append({k: payload[k] for k in ("value", "eighth_root_index")})
+    assert answers[0] == answers[1]
+
+
+def test_gamma_at_a_large_prime(capsys):
+    # 10007 = 3 mod 4, so gamma(p x^2) = eps_p = i
+    rc, payload, _ = run_json(["gamma", "--place", "p:10007", "--coeffs", "10007"], capsys)
+    assert rc == 0
+    assert payload["eighth_root_index"] == 2
+
+
 def test_weil_eq(capsys):
     rc, payload, _ = run_json(
         ["weil-eq", "--place", "p:3", "--coeffs", "1,2", "--level", "1"], capsys
@@ -202,6 +227,14 @@ def test_shintani_odd_n(capsys):
     assert payload["ok"] is True
     assert payload["closed_form_max_error"] < 1e-10
     assert payload["sign_vectors"]["ok"] is True
+
+
+def test_shintani_large_imaginary_part_passes_the_absolute_gate(capsys):
+    # the closed forms grow like cosh(pi Im(s) / 2)^n; in double precision
+    # this case missed the 1e-10 gate by its reference side alone
+    rc, payload, _ = run_json(["shintani", "--n", "7", "--s=-0.235-0.954j"], capsys)
+    assert rc == 0
+    assert payload["closed_form_max_error"] < payload["tol"] == 1e-10
 
 
 def test_shintani_even_n_has_no_sign_vectors(capsys):

@@ -56,6 +56,13 @@ def test_exact_requests_skip_numpy_and_scipy():
     assert mods <= {"locquad", "locquad.cli", "locquad.forms", "locquad.places", "locquad.symsign"}
 
 
+def test_gamma_request_skips_numpy():
+    mods = loaded_modules("gamma --place p:7 --coeffs 7,3", "gamma --place real --coeffs 1,-2")
+    assert "locquad.weil" in mods
+    assert not any(m.split(".")[0] in ("numpy", "scipy") for m in mods)
+    assert "locquad.charsum" not in mods
+
+
 def test_real_tate_request_loads_scipy():
     mods = loaded_modules("tate --place real --s -0.5")
     assert "scipy.integrate" in mods

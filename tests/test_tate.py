@@ -416,6 +416,17 @@ def test_sym3_mc_deterministic():
     assert a.as_dict() == b.as_dict()
 
 
+@pytest.mark.parametrize("block", [1000, 4096, 7000])
+def test_sym3_mc_blocks_do_not_change_the_report(monkeypatch, block):
+    import locquad.tate
+
+    kw = dict(p=5, s=0.3 + 0.4j, seed=4, samples=20000)
+    monkeypatch.setattr(locquad.tate, "_MC_BLOCK_SAMPLES", 10**9)  # one block
+    whole = padic_sym3_mc_check(**kw).as_dict()
+    monkeypatch.setattr(locquad.tate, "_MC_BLOCK_SAMPLES", block)
+    assert padic_sym3_mc_check(**kw).as_dict() == whole
+
+
 def test_sym3_mc_depth_guard_notes():
     rep = padic_sym3_mc_check(p=7, s=0.5, seed=1, samples=5000, depth=30)
     assert any("depth" in note for note in rep.notes)

@@ -1,8 +1,10 @@
 """Weil constants and the functional equation on ball indicators.
 
-The stabilized Gauss sum is the ground truth here; tests check the
-structure it must satisfy (root of unity, Witt homomorphism, the
-equation itself) rather than literature case tables.
+`gamma_rank1` and `gamma_form` answer from the closed-form Weil index of
+the square class; the stabilized Gauss sum `gauss_gamma` is the oracle
+they are checked against, class by class.  The other tests check the
+structure gamma must satisfy (root of unity, Witt homomorphism, the
+Hilbert-symbol cocycle, global reciprocity, the equation itself).
 """
 
 import cmath
@@ -10,15 +12,37 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from locquad.forms import QuadraticForm
-from locquad.places import REAL, AdditiveCharacter, Qp, square_class_reps
+from locquad.places import REAL, AdditiveCharacter, Qp, hilbert_symbol, square_class_reps
 from locquad.weil import (
     BallIndicator,
     gamma_form,
     gamma_matches_epsilon,
+    gamma_rank1,
+    gauss_gamma,
     verify_weil_equation,
 )
+
+PLACES = [REAL, Qp(2), Qp(3), Qp(5), Qp(7), Qp(13), Qp(10007)]
+
+nonzero_rationals = st.builds(
+    lambda sign, num, den, pexp, p: Fraction(sign * num, den) * Fraction(p) ** pexp,
+    st.sampled_from([1, -1]),
+    st.integers(1, 10**6),
+    st.integers(1, 10**6),
+    st.integers(-12, 12),
+    st.sampled_from([2, 3, 5, 7, 13, 10007]),
+)
+places = st.sampled_from(PLACES)
+signs = st.sampled_from([1, -1])
+derandomized = settings(derandomize=True, max_examples=200, deadline=None)
+
+
+def index(a, place, sign=1) -> int:
+    return gamma_rank1(a, AdditiveCharacter(place, sign)).eighth_root_index
 
 
 def test_real_rank1_closed_form():
@@ -82,6 +106,71 @@ def test_hyperbolic_padding_fixes_gamma():
     q = QuadraticForm.make([2, 3], place)
     padded = q.direct_sum(QuadraticForm.make([5, -5], place))
     assert abs(gamma_form(q, psi).value - gamma_form(padded, psi).value) < 1e-9
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_closed_form_equals_gauss_sum_on_every_class(p, sign):
+    place = Qp(p)
+    psi = AdditiveCharacter(place, sign)
+    unit_square = 4 if p != 2 else 9
+    for a in square_class_reps(place):
+        for scale in (1, Fraction(p) ** 2, unit_square):
+            oracle = gauss_gamma(a * scale, psi)
+            closed = gamma_rank1(a * scale, psi)
+            assert oracle.root_deviation < 1e-9
+            assert closed.eighth_root_index == oracle.eighth_root_index, (a, scale)
+            assert abs(closed.value - oracle.value) < 1e-9
+            assert closed.root_deviation == 0.0 and closed.stabilized_at is None
+
+
+def test_real_place_and_zero_coefficient_are_rejected():
+    with pytest.raises(ValueError):
+        gauss_gamma(1, AdditiveCharacter(REAL))
+    with pytest.raises(ValueError):
+        gamma_rank1(0, AdditiveCharacter(Qp(3)))
+
+
+@derandomized
+@given(a=nonzero_rationals, t=nonzero_rationals, place=places, sign=signs)
+def test_gamma_depends_only_on_the_square_class(a, t, place, sign):
+    assert index(a * t * t, place, sign) == index(a, place, sign)
+
+
+@derandomized
+@given(a=nonzero_rationals, b=nonzero_rationals, place=places, sign=signs)
+def test_gamma_cocycle_is_the_hilbert_symbol(a, b, place, sign):
+    # gamma(a) gamma(b) = gamma(1) gamma(ab) (a, b)
+    lhs = index(a, place, sign) + index(b, place, sign)
+    rhs = index(1, place, sign) + index(a * b, place, sign) + (4 if hilbert_symbol(a, b, place) == -1 else 0)
+    assert (lhs - rhs) % 8 == 0
+
+
+@derandomized
+@given(a=nonzero_rationals, place=places)
+def test_gamma_conjugates_under_the_sign_of_psi(a, place):
+    assert (index(a, place, 1) + index(a, place, -1)) % 8 == 0
+
+
+def _adelic_product(coeffs, padic_sign: int) -> complex:
+    from locquad.suites import _support_places
+
+    prod = 1 + 0j
+    for place in _support_places(*coeffs):
+        psi = AdditiveCharacter(place, 1 if place.is_real else padic_sign)
+        prod *= gamma_form(QuadraticForm.make(coeffs, place), psi).value
+    return prod
+
+
+def test_global_reciprocity_fixes_the_padic_sign():
+    rng = random.Random(11)
+    wrong = 0.0
+    for _ in range(30):
+        coeffs = [Fraction(rng.choice([-1, 1]) * rng.randint(1, 40), rng.randint(1, 40)) for _ in range(rng.randint(1, 3))]
+        coeffs[0] *= rng.choice([1, 10007])
+        assert abs(_adelic_product(coeffs, -1) - 1) < 1e-9
+        wrong = max(wrong, abs(_adelic_product(coeffs, 1) - 1))
+    assert wrong > 1
 
 
 def test_weil_equation_rank1():
