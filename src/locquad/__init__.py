@@ -7,8 +7,8 @@ matrix; and the degree-one local functional equation.
 
 The public names below are served lazily (PEP 562): `import locquad`
 loads no submodule, and `locquad.X` imports only the module defining X.
-So exact work never pays for numpy or scipy, which only the analytic
-modules need.
+So exact work never pays for numpy, which only the analytic modules
+need.
 """
 
 import importlib
@@ -23,7 +23,6 @@ _EXPORTS = {
         "hilbert_symbol",
         "hilbert_symbol_oracle",
         "least_nonresidue",
-        "legendre",
         "padic_abs",
         "parse_rational",
         "square_class",

@@ -18,10 +18,10 @@ from fractions import Fraction
 
 from . import __version__
 from .forms import QuadraticForm, SymMatrix, form_of_matrix, invariants
-from .places import AdditiveCharacter, Place, hilbert_symbol, hilbert_symbol_oracle, parse_rational, square_class, square_class_reps
+from .places import AdditiveCharacter, Place, SquareClass, hilbert_symbol, hilbert_symbol_oracle, parse_rational, square_class, square_class_reps
 
 # The analytic modules (stationary, shintani, tate, suites, and weil's
-# Gauss sums) load numpy and scipy, so each handler imports what it needs:
+# Gauss sums) load numpy, so each handler imports what it needs:
 # the exact commands and `gamma` run on places, forms, symsign and weil.
 
 # The keys of suites.SUITES, kept here so that the parser does not import
@@ -113,17 +113,14 @@ def _load_form_json(path: str, parser: argparse.ArgumentParser) -> QuadraticForm
 
 def _twist_class(text: str, place: Place, parser: argparse.ArgumentParser):
     """A square class given as a rational, or symbolically as 1 / u / p / up."""
-    symbolic = {"1": 0, "u": 1, "p": 2, "up": 3}
+    symbolic = {"1": 0, "u": 1, "p": 2, "up": 3}  # the class bits at an odd p
     if text in symbolic:
-        reps = square_class_reps(place)
-        if place.is_real:
-            d = {"1": Fraction(1), "u": Fraction(-1)}.get(text)
-            if d is None:
-                parser.error(f"--twist: {text!r} has no meaning at the real place")
-            return square_class(d, place)
-        if place.p == 2 and text != "1":
+        bits = symbolic[text]
+        if place.is_real and bits > 1:
+            parser.error(f"--twist: {text!r} has no meaning at the real place")
+        if not place.is_real and place.p == 2 and bits:
             parser.error("--twist: at p=2 there are 3 unit classes; give a rational such as -1, 5 or 2")
-        return square_class(reps[symbolic[text]], place)
+        return SquareClass.from_bits(bits, place)
     try:
         d = parse_rational(text)
     except (ValueError, ZeroDivisionError) as e:

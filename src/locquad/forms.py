@@ -10,15 +10,30 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import xor
 
 from .places import (
     Place,
     Rational,
     SquareClass,
-    hilbert_symbol,
+    class_bits,
+    pairing,
     parse_rational,
     square_class,
 )
+
+
+def hasse_bit(classes, place: Place):
+    """Exponent bit of the Hasse-Witt invariant of <a_1, ..., a_n> from the
+    class bits of the a_i (ints or numpy integer arrays).  By bilinearity,
+    prod_{i<j} (a_i, a_j) = prod_j (a_1 ... a_{j-1}, a_j): one pairing each.
+    """
+    e = prefix = 0
+    for c in classes:
+        e ^= pairing(prefix, c, place)
+        prefix ^= c
+    return e
 
 
 @dataclass(frozen=True)
@@ -48,20 +63,18 @@ class QuadraticForm:
             d *= c
         return d
 
+    def class_bits(self) -> list[int]:
+        return [class_bits(c, self.place) for c in self.coeffs]
+
     def det_class(self) -> SquareClass:
-        return square_class(self.det(), self.place)
+        return SquareClass.from_bits(reduce(xor, self.class_bits(), 0), self.place)
 
     def hasse(self) -> int:
         """Hasse-Witt invariant: product of (a_i, a_j) over pairs i < j.
 
         Rank 0 and rank 1 forms have invariant +1 (empty product).
         """
-        cs = self.coeffs
-        eps = 1
-        for i in range(len(cs)):
-            for j in range(i + 1, len(cs)):
-                eps *= hilbert_symbol(cs[i], cs[j], self.place)
-        return eps
+        return -1 if hasse_bit(self.class_bits(), self.place) else 1
 
     def signature(self) -> tuple[int, int]:
         """(positives, negatives); real place only."""
@@ -298,22 +311,11 @@ def witt_filtration_level(q: QuadraticForm, r: QuadraticForm):
 
 def _padded_relative_hasse(q: QuadraticForm, r: QuadraticForm) -> int:
     """hasse(q)*hasse(r') with r' the shorter form padded by hyperbolic
-    planes to the rank of the longer one.
-
-    Padding r by k planes multiplies hasse(r) by
-    (-1,-1)^(k(k-1)/2) * (det r, -1)^k, from hasse(A + B) =
-    hasse(A) hasse(B) (det A, det B).
-    """
-    place = q.place
+    planes <1, -1> to the rank of the longer one."""
     if q.rank < r.rank:
         q, r = r, q
-    k = (q.rank - r.rank) // 2
-    pad = 1
-    if k % 4 in (2, 3):  # k(k-1)/2 odd
-        pad *= hilbert_symbol(-1, -1, place)
-    if k % 2:
-        pad *= hilbert_symbol(r.det() if r.rank else Fraction(1), -1, place)
-    return q.hasse() * r.hasse() * pad
+    planes = QuadraticForm(q.place, (Fraction(1), Fraction(-1)) * ((q.rank - r.rank) // 2))
+    return q.hasse() * r.direct_sum(planes).hasse()
 
 
 def witt_class_invariants(q: QuadraticForm) -> dict:

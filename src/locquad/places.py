@@ -153,8 +153,83 @@ def least_nonresidue(p: int) -> int:
     raise ValueError("no non-residue found (p must be an odd prime)")
 
 
-# Canonical unit representatives for Q_2* / (Q_2*)^2, keyed by u mod 8.
-_UNIT_REP_MOD8 = {1: 1, 3: -5, 5: 5, 7: -1}
+# E*/(E*)^2 is a vector space over F2 and the Hilbert symbol a bilinear
+# form on it (Serre, A Course in Arithmetic, II.3.3 and III.1-2).  A class
+# is stored as its coordinate bits, lowest first: at the real place the
+# sign; at an odd p the Legendre bit of the unit part (1 for a non-residue),
+# then v mod 2; at p = 2, eps(u) = (u - 1)/2 and w(u) = (u^2 - 1)/8 mod 2 of
+# the unit part u, then v mod 2.  The valuation bit is the top one, so the
+# bits of a class are its index in square_class_reps.
+
+
+def class_bits(x: Rational, place: Place) -> int:
+    """The square class of a nonzero rational at the place, as F2 bits."""
+    x = Fraction(x)
+    if x == 0:
+        raise ValueError("0 has no square class")
+    if place.is_real:
+        return int(x < 0)
+    p = place.p
+    v = valuation(x, p)
+    # the unit part times the square of its denominator: the same class
+    u = x.numerator * x.denominator // p ** abs(v)
+    if p == 2:
+        u %= 8
+        return (u >> 1) & 1 | (((u >> 1) ^ (u >> 2)) & 1) << 1 | (v & 1) << 2
+    return int(legendre(u, p) == -1) | (v & 1) << 1
+
+
+def class_bits_array(x, place: Place):
+    """Class bits and valuations of an int64 array at an odd p.
+
+    Zero entries read as the trivial class with valuation 0; callers mask
+    them.  The valuations come along because array callers weigh by |x|.
+    """
+    import numpy as np
+
+    p = place.p
+    if place.is_real or p == 2 or p >= 1 << 31:
+        raise ValueError(f"the array encoder needs an odd p < 2^31 (its squares stay in int64), not {place}")
+    unit = np.array(x, dtype=np.int64)  # a copy, divided down in place
+    v = np.zeros(unit.shape, dtype=np.int64)
+    mask = (unit != 0) & (unit % p == 0)
+    while mask.any():
+        unit[mask] //= p
+        v[mask] += 1
+        mask = (unit != 0) & (unit % p == 0)
+    # Euler's criterion, u^((p-1)/2) mod p by square-and-multiply
+    base, r, e = unit % p, np.ones_like(unit), (p - 1) // 2
+    while e:
+        if e & 1:
+            r = r * base % p
+        base = base * base % p
+        e >>= 1
+    return (r == p - 1).astype(np.int64) | (v & 1) << 1, v
+
+
+def pairing(a, b, place: Place):
+    """The Hilbert symbol on class bits: 1 where (a, b) = -1, else 0.
+
+    Only &, ^ and >> are used, so a and b may be ints or numpy integer
+    arrays.  In the bits of class_bits (Serre III.1 Thm 1-2): real, s_a s_b;
+    odd p, v_a l_b + l_a v_b, plus v_a v_b when p = 3 mod 4; p = 2,
+    eps_a eps_b + v_a w_b + w_a v_b.
+    """
+    if place.is_real:
+        return a & b & 1
+    if place.p == 2:
+        return ((a & b) ^ ((a >> 2) & (b >> 1)) ^ ((a >> 1) & (b >> 2))) & 1
+    e = ((a >> 1) & b) ^ (a & (b >> 1))
+    if place.p % 4 == 3:
+        e ^= (a >> 1) & (b >> 1)
+    return e & 1
+
+
+def class_count(place: Place) -> int:
+    """|E*/(E*)^2|: 2 at the real place, 8 at p = 2, 4 at an odd p."""
+    if place.is_real:
+        return 2
+    return 8 if place.p == 2 else 4
 
 
 @dataclass(frozen=True)
@@ -162,7 +237,7 @@ class SquareClass:
     """A class in E*/(E*)^2, stored by its canonical representative.
 
     Representatives: {1, -1} at the real place; {1, u, p, u*p} with u the
-    least non-residue at an odd p; {±1, ±2, ±5, ±10} at p = 2.
+    least non-residue at an odd p; {±1, ±5, ±2, ±10} at p = 2.
     """
 
     place: Place
@@ -170,20 +245,20 @@ class SquareClass:
 
     @staticmethod
     def of(x: Rational, place: Place) -> "SquareClass":
-        x = Fraction(x)
-        if x == 0:
-            raise ValueError("0 has no square class")
+        return SquareClass.from_bits(class_bits(x, place), place)
+
+    @staticmethod
+    def from_bits(bits: int, place: Place) -> "SquareClass":
         if place.is_real:
-            return SquareClass(place, Fraction(1 if x > 0 else -1))
+            return SquareClass(place, Fraction(-1 if bits else 1))
         p = place.p
-        v = valuation(x, p) % 2
         if p == 2:
-            u = unit_part_mod(x, 2, 8)
-            rep = _UNIT_REP_MOD8[u] * 2**v
-        else:
-            u = unit_part_mod(x, p, p)
-            rep = (least_nonresidue(p) if legendre(u, p) == -1 else 1) * p**v
-        return SquareClass(place, Fraction(rep))
+            return SquareClass(place, Fraction((1, -1, 5, -5)[bits & 3] * (2 if bits & 4 else 1)))
+        return SquareClass(place, Fraction((least_nonresidue(p) if bits & 1 else 1) * (p if bits & 2 else 1)))
+
+    @property
+    def bits(self) -> int:
+        return class_bits(self.rep, self.place)
 
     def is_trivial(self) -> bool:
         return self.rep == 1
@@ -197,47 +272,16 @@ def square_class(x: Rational, place: Place) -> SquareClass:
 
 
 def square_class_reps(place: Place) -> list[Fraction]:
-    """All canonical square-class representatives at the place."""
-    if place.is_real:
-        return [Fraction(1), Fraction(-1)]
-    p = place.p
-    if p == 2:
-        return [Fraction(r) for r in (1, -1, 5, -5, 2, -2, 10, -10)]
-    u = least_nonresidue(p)
-    return [Fraction(r) for r in (1, u, p, u * p)]
+    """All canonical square-class representatives, indexed by class bits."""
+    return [SquareClass.from_bits(bits, place).rep for bits in range(class_count(place))]
 
 
 def hilbert_symbol(a: Rational, b: Rational, place: Place) -> int:
-    """Hilbert symbol (a, b) at the place, computed by closed form.
-
-    At an odd p, with a = p^alpha * u_a and b = p^beta * u_b,
-        (a, b) = (-1|p)^(alpha*beta) * (u_a|p)^beta * (u_b|p)^alpha.
-    At p = 2 the symbol is (-1)^(eps(u_a)eps(u_b) + alpha w(u_b) + beta w(u_a))
-    with eps(u) = (u-1)/2 and w(u) = (u^2-1)/8 read off u mod 8.
-    At the real place it is -1 exactly when both arguments are negative.
-    """
+    """Hilbert symbol (a, b) at the place: the pairing of their class bits."""
     a, b = Fraction(a), Fraction(b)
     if a == 0 or b == 0:
         raise ValueError("Hilbert symbol requires nonzero arguments")
-    if place.is_real:
-        return -1 if (a < 0 and b < 0) else 1
-    p = place.p
-    alpha, beta = valuation(a, p), valuation(b, p)
-    if p == 2:
-        ua, ub = unit_part_mod(a, 2, 8), unit_part_mod(b, 2, 8)
-        eps_a, eps_b = (ua - 1) // 2 % 2, (ub - 1) // 2 % 2
-        w_a, w_b = (ua * ua - 1) // 8 % 2, (ub * ub - 1) // 8 % 2
-        e = eps_a * eps_b + alpha * w_b + beta * w_a
-    else:
-        ua, ub = unit_part_mod(a, p, p), unit_part_mod(b, p, p)
-        e = 0
-        if alpha * beta % 2 and legendre(-1, p) == -1:
-            e += 1
-        if beta % 2 and legendre(ua, p) == -1:
-            e += 1
-        if alpha % 2 and legendre(ub, p) == -1:
-            e += 1
-    return -1 if e % 2 else 1
+    return -1 if pairing(class_bits(a, place), class_bits(b, place), place) else 1
 
 
 def hilbert_symbol_oracle(a: Rational, b: Rational, place: Place) -> int:
@@ -245,23 +289,22 @@ def hilbert_symbol_oracle(a: Rational, b: Rational, place: Place) -> int:
 
     Tests solvability of z^2 = a x^2 + b y^2 mod p^K in primitive triples,
     K = 3 for odd p and K = 6 for p = 2.  Arguments are first replaced by
-    their canonical square-class representatives, which have valuation 0
-    or 1; a primitive solution then forces x or y to be a unit, and mod
-    p^K solvability with a unit coordinate lifts by Hensel's lemma, so
-    the search is exact.  Independent of hilbert_symbol: no symbol
-    formula is consulted.
+    p^(v mod 2) times their unit part mod p^K, in the same square class and
+    of valuation 0 or 1; a primitive solution then forces x or y to be a
+    unit, and mod p^K solvability with a unit coordinate lifts by Hensel's
+    lemma, so the search is exact.  Independent of hilbert_symbol: neither
+    class bits nor a symbol formula is consulted.
     """
     if place.is_real:
         a, b = Fraction(a), Fraction(b)
         return -1 if (a < 0 and b < 0) else 1
     p = place.p
-    ra = int(SquareClass.of(a, place).rep)
-    rb = int(SquareClass.of(b, place).rep)
     K = 6 if p == 2 else 3
     q = p**K
     if q * q > 10**8:
         raise ValueError(f"oracle lattice too large for p={p}")
-    # the only numpy user in this module: the exact paths never load it
+    ra, rb = (p ** (valuation(x, p) % 2) * unit_part_mod(x, p, q) for x in (a, b))
+    # numpy is loaded here and in class_bits_array only, never on exact paths
     import numpy as np
 
     z = np.arange(q, dtype=np.int64)

@@ -15,8 +15,9 @@ constant c(chi) is extracted as the ratio
 
 which must not depend on phi.  Over R the same check runs on a family of
 modulated Hermite Gaussians whose Fourier transforms are closed forms,
-with the zeta integrals done by adaptive quadrature; the refinement into
-half-lines is checked against the 2x2 gamma matrix of degree one.
+with the zeta integrals done by the double-exponential (exp-sinh) rule in
+numpy; the refinement into half-lines is checked against the 2x2 gamma
+matrix of degree one.
 
 A Monte Carlo probe tests the degree-three equation on Sym_3(Q_p) for
 test functions supported away from det = 0, where both pairings converge
@@ -34,17 +35,20 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .charsum import BudgetError
-from .forms import SymMatrix, form_of_matrix
+from .forms import SymMatrix, hasse_bit
 from .places import (
     REAL,
     AdditiveCharacter,
     Place,
     SquareClass,
+    class_bits,
+    class_bits_array,
+    class_count,
     frac_part,
     hilbert_symbol,
+    pairing,
     parse_rational,
     square_class,
-    square_class_reps,
     valuation,
 )
 from .shintani import gamma_matrix
@@ -81,19 +85,17 @@ class MultiplicativeCharacter:
 
     def is_ramified(self) -> bool:
         """True when x -> (x, d) is nontrivial on the units."""
+        d = self.twist.bits
         if self.place.is_real:
-            return self.twist.rep < 0
-        for rep in square_class_reps(self.place):
-            if valuation(rep, self.place.p) == 0:
-                if hilbert_symbol(rep, self.twist.rep, self.place) == -1:
-                    return True
-        return False
+            return d == 1
+        # the unit classes are those below the valuation bit
+        return any(pairing(u, d, self.place) for u in range(class_count(self.place) // 2))
 
     def value(self, x) -> complex:
         x = parse_rational(x)
         if x == 0:
             raise ZeroDivisionError("character evaluated at 0")
-        sym = hilbert_symbol(x, self.twist.rep, self.place)
+        sym = -1 if pairing(class_bits(x, self.place), self.twist.bits, self.place) else 1
         if self.place.is_real:
             mag = abs(float(x))
         else:
@@ -245,15 +247,13 @@ class CosetFunction:
 # p-adic zeta and the functional-equation check
 
 
-def padic_zeta(phi: CosetFunction, chi: MultiplicativeCharacter, tail_tol: float = 1e-12) -> complex:
+def padic_zeta(phi: CosetFunction, chi: MultiplicativeCharacter) -> complex:
     """Z(phi, chi) = integral of chi(x) phi(x) dx over Q_p^*.
 
     Each coset not through 0 carries a constant character value once it is
     fine enough (at p = 2 the symbol (x, d) is constant only on cosets of
     1 + 8 Z_2, so shallow terms are refined first).  The ball through 0 is
-    a geometric series over valuation shells, summed in closed form, so no
-    truncation at tail_tol is ever needed; the parameter is kept to bound
-    the tail if a future place breaks the closed form.
+    a geometric series over valuation shells, summed in closed form.
     """
     if chi.place != phi.place:
         raise ValueError("character and test function live at different places")
@@ -275,7 +275,7 @@ def padic_zeta(phi: CosetFunction, chi: MultiplicativeCharacter, tail_tol: float
         v = valuation(r, p)
         if p == 2 and k - v < 3 and not chi.twist.is_trivial():
             refined = CosetFunction(phi.place, [(r, k, w)]).refine(v + 3)
-            total += padic_zeta(refined, chi, tail_tol)
+            total += padic_zeta(refined, chi)
             continue
         sym = hilbert_symbol(r, d, phi.place)
         total += w * sym * cmath.exp(-v * chi.s * logp) * Fraction(p) ** (-k)
@@ -402,11 +402,14 @@ class HermiteGaussian:
     modulation: float = 0.0
     scale: complex = 1.0
 
-    def __call__(self, x: float) -> complex:
-        u = x - self.shift
+    def __call__(self, x):
+        """Value at a float or an array.  The envelope is 0 in double
+        precision past |u| = 40; clipping u there keeps far nodes at 0."""
+        x = np.asarray(x, dtype=float)
+        u = np.clip(x - self.shift, -40.0, 40.0)
         c0, c1, c2 = self.poly
-        val = (c0 + c1 * u + c2 * u * u) * math.exp(-math.pi * u * u)
-        return self.scale * val * cmath.exp(2j * math.pi * self.modulation * x)
+        val = (c0 + c1 * u + c2 * u * u) * np.exp(-np.pi * u * u)
+        return self.scale * val * np.exp(2j * np.pi * self.modulation * x)
 
     def fourier(self) -> "HermiteGaussian":
         c0, c1, c2 = self.poly
@@ -432,54 +435,62 @@ class QuadratureError(ArithmeticError):
     pass
 
 
-def _quad_piece(g, lo, hi) -> tuple[float, float]:
-    # scipy.integrate is most of the package's import cost and only the
-    # real place needs it
-    from scipy.integrate import quad
-
-    out = quad(g, lo, hi, limit=250, epsabs=1e-13, epsrel=1e-12, full_output=1)
-    if len(out) > 3:
-        val, err, info, message = out[:4]
-        raise QuadratureError(
-            f"quadrature failed after {info['last']} subintervals: {message}"
-        )
-    val, err = out[0], out[1]
-    return val, err
+# The exp-sinh trapezoid sums run over t in [-_DE_T, _DE_T]: the first node
+# sits exp(-71) past the endpoint and the last exp(71) out, where
+# exp(-(s + 1) x) has vanished for any s + 1 > 1e-29.
+_DE_T = 4.5
 
 
-def _cquad(g, lo, hi) -> complex:
-    re, _ = _quad_piece(lambda t: g(t).real, lo, hi)
-    im, _ = _quad_piece(lambda t: g(t).imag, lo, hi)
-    return complex(re, im)
+def _exp_sinh(g, a: float) -> complex:
+    """Integral of a vectorised g over (a, inf) by the double-exponential
+    (exp-sinh) rule x = a + exp(pi/2 sinh t).
+
+    Each level halves the step in t and adds only the new nodes; the
+    result is returned once two levels agree within 1e-15 of the summed
+    |terms|, and QuadratureError is raised if twelve halvings do not.
+    """
+
+    def terms(t):
+        e = np.exp(np.pi / 2 * np.sinh(t))
+        return g(a + e) * (np.pi / 2 * np.cosh(t) * e)
+
+    h = 0.5
+    f = terms(np.arange(-_DE_T, _DE_T + h / 2, h))
+    total, mass = h * f.sum(), h * np.abs(f).sum()
+    for _ in range(12):
+        h /= 2
+        f = terms(np.arange(-_DE_T + h, _DE_T, 2 * h))
+        new = total / 2 + h * f.sum()
+        mass = mass / 2 + h * np.abs(f).sum()
+        if abs(new - total) <= 1e-15 * mass:
+            return complex(new)
+        total = new
+    raise QuadratureError(f"exp-sinh rule did not settle by step {h}: last change {abs(new - total):.3g}")
 
 
 def real_zeta(f, s: complex, side: str = "both") -> complex:
     """Integral of |x|^s f(x) over a half-line or all of R^*.
 
-    The inner pieces (0, 1) and (-1, 0) are integrated after x = e^u,
-    which turns the |x|^s singularity into exponential decay; the outer
-    pieces run directly to infinity under the Gaussian envelope.
+    f must accept arrays.  The inner pieces (0, 1) and (-1, 0) are
+    integrated after x = e^(-w), which turns the |x|^s singularity into
+    exponential decay in w; the outer pieces run directly to infinity
+    under the Gaussian envelope.
     """
     s = complex(s)
     if s.real <= -1:
         raise ValueError(f"Re(s) = {s.real} outside the convergence range Re(s) > -1")
 
-    def positive() -> complex:
-        inner = _cquad(lambda u: cmath.exp((s + 1) * u) * f(math.exp(u)), -np.inf, 0.0)
-        outer = _cquad(lambda x: cmath.exp(s * math.log(x)) * f(x), 1.0, np.inf)
-        return inner + outer
-
-    def negative() -> complex:
-        inner = _cquad(lambda u: cmath.exp((s + 1) * u) * f(-math.exp(u)), -np.inf, 0.0)
-        outer = _cquad(lambda x: cmath.exp(s * math.log(x)) * f(-x), 1.0, np.inf)
+    def half(sign) -> complex:
+        inner = _exp_sinh(lambda w: np.exp(-(s + 1) * w) * f(sign * np.exp(-w)), 0.0)
+        outer = _exp_sinh(lambda x: np.exp(s * np.log(x)) * f(sign * x), 1.0)
         return inner + outer
 
     if side == "pos":
-        return positive()
+        return half(1)
     if side == "neg":
-        return negative()
+        return half(-1)
     if side == "both":
-        return positive() + negative()
+        return half(1) + half(-1)
     raise ValueError(f"unknown side {side!r}")
 
 
@@ -606,100 +617,36 @@ class Sym3Coset:
         mat = tuple(tuple(int(x) for x in row) for row in center)
         if len(mat) != 3 or any(len(row) != 3 for row in mat):
             raise ValueError("center must be a 3x3 integer matrix")
-        if any(mat[i][j] != mat[j][i] for i in range(3) for j in range(3)):
-            raise ValueError("center must be symmetric")
-        det = _det3(mat)
-        if det == 0 or valuation(Fraction(det), p) >= level:
+        det = SymMatrix.make(mat).det()  # raises unless mat is symmetric
+        if det == 0 or valuation(det, p) >= level:
             raise ValueError(
                 "support meets det = 0: need v_p(det center) < level"
             )
         return Sym3Coset(mat, int(level))
 
 
-def _det3(m) -> int:
-    return (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-    )
+def sym3_classes(x: np.ndarray, place: Place) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Hasse bits of q_X, and class bits and valuations of det X, for a
+    stack (N, 3, 3) of invertible symmetric integer matrices.
 
-
-def _vp_array(x: np.ndarray, p: int) -> np.ndarray:
-    """Exact p-adic valuation of nonzero int64 entries."""
-    x = np.abs(x.copy())
-    v = np.zeros(x.shape, dtype=np.int64)
-    mask = (x != 0) & (x % p == 0)
-    while mask.any():
-        x[mask] //= p
-        v[mask] += 1
-        mask = (x != 0) & (x % p == 0)
-    return v
-
-
-def _legendre_table(p: int) -> np.ndarray:
-    table = np.zeros(p, dtype=np.int64)
-    for u in range(1, p):
-        table[u] = 1 if pow(u, (p - 1) // 2, p) == 1 else -1
-    return table
-
-
-def _hilbert_batch(va, ua_chi, vb, ub_chi, p: int) -> np.ndarray:
-    """(a, b)_p for odd p from valuations and Legendre symbols of unit parts."""
-    minus_one = 1 if p % 4 == 1 else -1
-    out = np.where((va & 1) & (vb & 1), minus_one, 1)
-    out = out * np.where(vb & 1, ua_chi, 1) * np.where(va & 1, ub_chi, 1)
-    return out
-
-
-def _hasse_batch(d1: np.ndarray, d2: np.ndarray, d3: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Hasse invariants of <d1, d2/d1, d3/d2> and bad-row mask.
-
-    Rows where a leading minor vanishes cannot use the quotient formula
-    and are flagged for the exact fallback.
+    With nonzero leading minors d1, d2, d3, q_X = <d1, d2/d1, d3/d2>, whose
+    prefix products are d1 and d2.  When d1 or d2 vanishes, q_X is
+    isotropic, hence a hyperbolic plane plus <-d3>, with Hasse invariant
+    (-1, -d3) (Serre, A Course in Arithmetic, IV.2.2).
     """
-    bad = (d1 == 0) | (d2 == 0) | (d3 == 0)
-    safe1 = np.where(bad, 1, d1)
-    safe2 = np.where(bad, 1, d2)
-    safe3 = np.where(bad, 1, d3)
-    table = _legendre_table(p)
-    v1, v2, v3 = (_vp_array(x, p) for x in (safe1, safe2, safe3))
-
-    def unit_chi(x, v):
-        unit = np.abs(x) // p**v
-        chi = table[unit % p]
-        return np.where(x < 0, chi * table[(p - 1) % p], chi)
-
-    # coefficients a = d1, b = d2/d1, c = d3/d2; chi is multiplicative so
-    # chi(d2/d1) = chi(d2) chi(d1) etc.
-    c1, c2, c3 = (unit_chi(x, v) for x, v in ((safe1, v1), (safe2, v2), (safe3, v3)))
-    va, ca = v1, c1
-    vb, cb = v2 - v1, c2 * c1
-    vc, cc = v3 - v2, c3 * c2
-    eps = (
-        _hilbert_batch(va, ca, vb, cb, p)
-        * _hilbert_batch(va, ca, vc, cc, p)
-        * _hilbert_batch(vb, cb, vc, cc, p)
-    )
-    return eps, bad
+    d1 = x[:, 0, 0]
+    d2 = x[:, 0, 0] * x[:, 1, 1] - x[:, 0, 1] * x[:, 1, 0]
+    b1, _ = class_bits_array(d1, place)
+    b2, _ = class_bits_array(d2, place)
+    b3, v3 = class_bits_array(_det3_batch(x), place)
+    minus_one = class_bits(-1, place)
+    chain = hasse_bit((b1, b1 ^ b2, b2 ^ b3), place)
+    isotropic = pairing(minus_one, minus_one ^ b3, place)
+    return np.where((d1 == 0) | (d2 == 0), isotropic, chain), b3, v3
 
 
-def _hasse_exact(mat: np.ndarray, p: int) -> int:
-    entries = tuple(tuple(Fraction(int(mat[i, j])) for j in range(3)) for i in range(3))
-    form = form_of_matrix(SymMatrix.make(entries), Place(p))
-    return form.hasse()
-
-
-def _sym_from_flat(flat: np.ndarray) -> np.ndarray:
-    """(N, 6) independent entries -> (N, 3, 3) symmetric matrices."""
-    n = flat.shape[0]
-    m = np.empty((n, 3, 3), dtype=np.int64)
-    m[:, 0, 0] = flat[:, 0]
-    m[:, 1, 1] = flat[:, 1]
-    m[:, 2, 2] = flat[:, 2]
-    m[:, 0, 1] = m[:, 1, 0] = flat[:, 3]
-    m[:, 0, 2] = m[:, 2, 0] = flat[:, 4]
-    m[:, 1, 2] = m[:, 2, 1] = flat[:, 5]
-    return m
+# positions of the six independent entries in a symmetric 3x3 matrix
+_SYM3_INDEX = [[0, 3, 4], [3, 1, 5], [4, 5, 2]]
 
 
 def _det3_batch(m: np.ndarray) -> np.ndarray:
@@ -802,10 +749,11 @@ def padic_sym3_mc_check(
     n = batch * batches
     logp = math.log(p)
     modulus = p**depth
+    place = Place(p)
+    minus_one = class_bits(-1, place)
     dropped = 0
 
     ratios: list[complex] = []
-    sigmas: list[float] = []
     batch_ratio_rows = []
     # whole batches per block bound the working set; the streams are drawn
     # in the same order and each batch mean is taken over the same samples,
@@ -824,11 +772,11 @@ def padic_sym3_mc_check(
             # factor p^{-6L} psi(Tr(X0 Y)) on p^{-L} Sym, and the volume of the
             # Y' domain cancels it, leaving a plain mean.
             flat = rng_lhs.integers(0, modulus, size=(m, 6), dtype=np.int64)
-            y = _sym_from_flat(flat)
+            y = flat[:, _SYM3_INDEX]
             dets = _det3_batch(y)
             zero = dets == 0
             dropped += int(zero.sum())
-            v = np.where(zero, depth * 3, _vp_array(dets, p))
+            v = np.where(zero, depth * 3, class_bits_array(dets, place)[1])
             tr_mod = (
                 np.einsum("ij,nji->n", x0, y, dtype=np.int64) % (p**lvl)
             )
@@ -841,18 +789,11 @@ def padic_sym3_mc_check(
             # RHS: X = X0 + p^L X' with X' uniform; weight eps(q_X)(det,-1)|det|^{-s-2}
             # and the p^{-6L} volume of the support cancels against the LHS factor.
             flat = rng_rhs.integers(0, modulus, size=(m, 6), dtype=np.int64)
-            x = x0[None, :, :] + p**lvl * _sym_from_flat(flat)
-            d3 = _det3_batch(x)
-            d1 = x[:, 0, 0]
-            d2 = x[:, 0, 0] * x[:, 1, 1] - x[:, 0, 1] * x[:, 1, 0]
-            eps, bad = _hasse_batch(d1, d2, d3, p)
-            if bad.any():
-                for idx in np.flatnonzero(bad):
-                    eps[idx] = _hasse_exact(x[idx], p)
-            vdet = _vp_array(d3, p)
-            minus_one_sym = np.where(vdet & 1, 1 if p % 4 == 1 else -1, 1)
+            x = x0[None, :, :] + p**lvl * flat[:, _SYM3_INDEX]
+            hasse, det_bits, vdet = sym3_classes(x, place)
+            sign = 1 - 2 * (hasse ^ pairing(det_bits, minus_one, place))
             volume = float(p) ** (-6 * lvl)
-            rhs_w = eps * minus_one_sym * np.exp(vdet * (s + 2) * logp) * volume
+            rhs_w = sign * np.exp(vdet * (s + 2) * logp) * volume
             rhs_parts.append(rhs_w.reshape(nb, batch).mean(axis=1) + 0j)
         lhs_batches = np.concatenate(lhs_parts)
         rhs_batches = np.concatenate(rhs_parts)
@@ -869,16 +810,12 @@ def padic_sym3_mc_check(
     # the error bar it is judged against
     boot_rng = np.random.default_rng(streams[-1])
     reps = 400
-    diffs = np.empty(reps, dtype=complex)
     per_coset = [np.empty(reps, dtype=complex), np.empty(reps, dtype=complex)]
     for r in range(reps):
         idx = boot_rng.integers(0, batches, size=batches)
-        vals = []
-        for ci in range(2):
-            lb, rb = batch_ratio_rows[ci]
-            vals.append(lb[idx].mean() / rb[idx].mean())
-            per_coset[ci][r] = vals[ci]
-        diffs[r] = vals[0] - vals[1]
+        for ci, (lb, rb) in enumerate(batch_ratio_rows):
+            per_coset[ci][r] = lb[idx].mean() / rb[idx].mean()
+    diffs = per_coset[0] - per_coset[1]
     sigmas = [float(np.sqrt(np.mean(np.abs(pc - pc.mean()) ** 2))) for pc in per_coset]
     sigma_combined = float(np.sqrt(np.mean(np.abs(diffs - diffs.mean()) ** 2)))
     difference = abs(ratios[0] - ratios[1])

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .forms import QuadraticForm, witt_filtration_level
-from .places import AdditiveCharacter, Rational, legendre, unit_part_mod, valuation
+from .places import AdditiveCharacter, Rational, class_bits, valuation
 
 EIGHTH_ROOTS = [cmath.exp(1j * cmath.pi * k / 4) for k in range(8)]
 
@@ -122,23 +122,22 @@ def gauss_gamma(
 
 
 def _weil_index(a: Fraction, psi: AdditiveCharacter) -> int:
-    """Eighth-root index k of gamma(a x^2, psi), from the square class of a."""
-    if psi.place.is_real:
-        return psi.sign * (1 if a > 0 else -1) % 8
-    p = psi.place.p
-    odd_v = valuation(a, p) % 2
-    if p == 2:
-        u = unit_part_mod(a, 2, 8)
-        k = psi.sign if u % 4 == 1 else -psi.sign
-        if odd_v and u in (3, 5):  # (2|u) = -1
-            k += 4
-        return k % 8
-    if not odd_v:
-        return 0
-    k = psi.sign * (0 if p % 4 == 1 else 2)  # eps_p^s
-    if legendre(unit_part_mod(a, p, p), p) == -1:
-        k += 4
-    return k % 8
+    """Eighth-root index of gamma(a x^2, psi), from the class bits of a.
+
+    psi_- conjugates gamma, so the index is the sign of psi times the
+    psi_+ index of the formulas above: real, sign(a); p = 2, +-1 by eps(u),
+    plus 4 when v and w(u) are odd; odd p, 0 for v even, else that of eps_p
+    (0 or 2), plus 4 when (u|p) = -1.
+    """
+    place = psi.place
+    bits = class_bits(a, place)
+    if place.is_real:
+        k = 1 - 2 * bits
+    elif place.p == 2:
+        k = 1 - 2 * (bits & 1) + (4 if (bits & 6) == 6 else 0)
+    else:
+        k = (bits >> 1) * ((0 if place.p % 4 == 1 else 2) + 4 * (bits & 1))
+    return psi.sign * k % 8
 
 
 def _exact(k: int) -> WeilConstant:

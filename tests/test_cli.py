@@ -311,3 +311,25 @@ def test_verify_seed_changes_report(capsys):
     rc2, out2, _ = run(["verify", "--suite", "product-formula", "--seed", "2"], capsys)
     assert rc1 == rc2 == 0
     assert out1 != out2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sym-sign", "--place", "p:2", "--n", "7"],
+        ["orbits", "--place", "p:2", "--n", "9"],
+        ["sym-sign", "--place", "real", "--n", "40"],
+        ["sym-sign", "--place", "p:3", "--n", "0"],
+        ["orbits", "--place", "p:3", "--n", "0"],
+    ],
+    ids=" ".join,
+)
+def test_enumerations_that_cannot_finish_fail_fast(argv, capsys):
+    import time
+
+    t0 = time.perf_counter()
+    rc, payload, _ = run_json(argv, capsys)
+    assert time.perf_counter() - t0 < 0.1
+    assert rc == 1
+    assert payload["ok"] is False
+    assert "budget" in payload["error"] or "positive" in payload["error"]

@@ -63,9 +63,11 @@ def test_gamma_request_skips_numpy():
     assert "locquad.charsum" not in mods
 
 
-def test_real_tate_request_loads_scipy():
+def test_real_tate_request_skips_scipy():
+    # the real-place quadrature is an exp-sinh rule in numpy
     mods = loaded_modules("tate --place real --s -0.5")
-    assert "scipy.integrate" in mods
+    assert "locquad.tate" in mods
+    assert not any(m.split(".")[0] == "scipy" for m in mods)
 
 
 def test_public_names_resolve_and_are_listed():
@@ -105,3 +107,8 @@ def test_verify_jobs_do_not_change_the_report(monkeypatch, capsys):
         reports.append(capsys.readouterr().out)
     assert [s["suite"] for s in json.loads(reports[0])["suites"]] == list(quick)
     assert reports[0] == reports[1]
+
+
+def test_rejected_enumerations_skip_numpy():
+    mods = loaded_modules("sym-sign --place p:2 --n 7", "orbits --place p:2 --n 9")
+    assert mods <= {"locquad", "locquad.cli", "locquad.forms", "locquad.places", "locquad.symsign"}

@@ -6,8 +6,10 @@ from fractions import Fraction
 import pytest
 
 from locquad.forms import QuadraticForm, SymMatrix
-from locquad.places import REAL, Qp, hilbert_symbol, square_class_reps
+from locquad.places import REAL, Place, Qp, class_count, hilbert_symbol, square_class_reps
 from locquad.symsign import (
+    ENUMERATION_BUDGET,
+    EnumerationBudgetError,
     c_constant,
     c_constant_value,
     epsilon_pair,
@@ -158,3 +160,80 @@ def test_scaling_needs_odd_rank():
         epsilon_scaling_check([1, 2], Fraction(3), Qp(3))
     with pytest.raises(ValueError):
         scaling_invariant([1, 2], Qp(3))
+
+
+# c_constant values, matrices checked and sl_orbit_count per det class (in
+# square_class_reps order), as computed by enumerating QuadraticForm objects
+# and multiplying pairwise Hilbert symbols
+PINNED = {
+    ("real", 1): ({"1": 1, "-1": 1}, 2, [1, 1]),
+    ("real", 2): ({"1": 1, "-1": 1}, 4, [2, 1]),
+    ("real", 3): ({"1": -1, "-1": 1}, 8, [2, 2]),
+    ("real", 4): ({"1": -1, "-1": -1}, 16, [3, 2]),
+    ("real", 5): ({"1": -1, "-1": -1}, 32, [3, 3]),
+    ("p:2", 1): ({"1": 1, "-1": 1, "5": 1, "-5": 1, "2": 1, "-2": 1, "10": 1, "-10": 1}, 8, [1] * 8),
+    ("p:2", 2): ({"1": 1, "-1": 1, "5": 1, "-5": 1, "2": 1, "-2": 1, "10": 1, "-10": 1}, 64, [2, 1, 2, 2, 2, 2, 2, 2]),
+    ("p:2", 3): ({"1": -1, "-1": 1, "5": -1, "-5": 1, "2": -1, "-2": 1, "10": -1, "-10": 1}, 512, [2] * 8),
+    ("p:3", 1): ({"1": 1, "2": 1, "3": 1, "6": 1}, 4, [1, 1, 1, 1]),
+    ("p:3", 2): ({"1": 1, "2": 1, "3": 1, "6": 1}, 16, [2, 1, 2, 2]),
+    ("p:3", 3): ({"1": 1, "2": 1, "3": -1, "6": -1}, 64, [2, 2, 2, 2]),
+    ("p:3", 4): ({"1": 1, "2": 1, "3": 1, "6": 1}, 256, [2, 2, 2, 2]),
+    ("p:3", 5): ({"1": 1, "2": 1, "3": 1, "6": 1}, 1024, [2, 2, 2, 2]),
+    ("p:5", 1): ({"1": 1, "2": 1, "5": 1, "10": 1}, 4, [1, 1, 1, 1]),
+    ("p:5", 2): ({"1": 1, "2": 1, "5": 1, "10": 1}, 16, [1, 2, 2, 2]),
+    ("p:5", 3): ({"1": 1, "2": 1, "5": 1, "10": 1}, 64, [2, 2, 2, 2]),
+    ("p:5", 4): ({"1": 1, "2": 1, "5": 1, "10": 1}, 256, [2, 2, 2, 2]),
+    ("p:5", 5): ({"1": 1, "2": 1, "5": 1, "10": 1}, 1024, [2, 2, 2, 2]),
+    ("p:7", 1): ({"1": 1, "3": 1, "7": 1, "21": 1}, 4, [1, 1, 1, 1]),
+    ("p:7", 2): ({"1": 1, "3": 1, "7": 1, "21": 1}, 16, [2, 1, 2, 2]),
+    ("p:7", 3): ({"1": 1, "3": 1, "7": -1, "21": -1}, 64, [2, 2, 2, 2]),
+    ("p:7", 4): ({"1": 1, "3": 1, "7": 1, "21": 1}, 256, [2, 2, 2, 2]),
+    ("p:7", 5): ({"1": 1, "3": 1, "7": 1, "21": 1}, 1024, [2, 2, 2, 2]),
+    ("p:13", 1): ({"1": 1, "2": 1, "13": 1, "26": 1}, 4, [1, 1, 1, 1]),
+    ("p:13", 2): ({"1": 1, "2": 1, "13": 1, "26": 1}, 16, [1, 2, 2, 2]),
+    ("p:13", 3): ({"1": 1, "2": 1, "13": 1, "26": 1}, 64, [2, 2, 2, 2]),
+    ("p:13", 4): ({"1": 1, "2": 1, "13": 1, "26": 1}, 256, [2, 2, 2, 2]),
+    ("p:13", 5): ({"1": 1, "2": 1, "13": 1, "26": 1}, 1024, [2, 2, 2, 2]),
+}
+
+
+@pytest.mark.parametrize("place_text,n", list(PINNED), ids=[f"{pl}-n{n}" for pl, n in PINNED])
+def test_enumerations_pinned(place_text, n):
+    place = Place.parse(place_text)
+    values, matrices, orbits = PINNED[place_text, n]
+    rep = c_constant(n, place)
+    assert rep.consistent
+    assert list(rep.values.items()) == list(values.items())  # insertion order too
+    assert (rep.classes_checked, rep.matrices_checked) == (len(values), matrices)
+    assert [sl_orbit_count(n, d, place) for d in square_class_reps(place)] == orbits
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_c_constant_agrees_with_g_value(n):
+    # c_constant works on class bits; g_value on the forms themselves
+    for place in (REAL, Qp(2), Qp(3), Qp(5)):
+        if n == 5 and place == Qp(2):
+            continue
+        rep = c_constant(n, place)
+        rng = random.Random(n)
+        for _ in range(20):
+            coeffs = [rng.choice(square_class_reps(place)) * Fraction(rng.randint(1, 9)) ** 2 for _ in range(n)]
+            q = QuadraticForm.make(coeffs, place)
+            assert g_value(q) == rep.values[str(q.det_class())]
+
+
+def test_enumerations_reject_nonpositive_rank():
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="positive"):
+            c_constant(n, Qp(3))
+        with pytest.raises(ValueError, match="positive"):
+            sl_orbit_count(n, 1, REAL)
+
+
+@pytest.mark.parametrize("n,place", [(6, Qp(2)), (8, Qp(3)), (14, REAL), (50, Qp(7))])
+def test_enumerations_refuse_work_over_the_budget(n, place):
+    assert class_count(place) ** n * n * (n + 1) // 2 > ENUMERATION_BUDGET
+    with pytest.raises(EnumerationBudgetError):
+        c_constant(n, place)
+    with pytest.raises(EnumerationBudgetError):
+        sl_orbit_count(n, 1, place)

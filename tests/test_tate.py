@@ -11,11 +11,13 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from locquad.charsum import BudgetError
-from locquad.places import AdditiveCharacter, Qp, REAL, frac_part, square_class_reps
+from locquad.forms import SymMatrix, form_of_matrix
+from locquad.places import AdditiveCharacter, Qp, REAL, class_bits, frac_part, square_class_reps, valuation
 from locquad.tate import (
     CosetFunction,
     HermiteGaussian,
@@ -28,6 +30,7 @@ from locquad.tate import (
     real_gamma_matrix_check,
     real_tate_check,
     real_zeta,
+    sym3_classes,
     sym3_fourier_value,
     tate_check,
 )
@@ -430,3 +433,60 @@ def test_sym3_mc_blocks_do_not_change_the_report(monkeypatch, block):
 def test_sym3_mc_depth_guard_notes():
     rep = padic_sym3_mc_check(p=7, s=0.5, seed=1, samples=5000, depth=30)
     assert any("depth" in note for note in rep.notes)
+
+
+# -- the exp-sinh rule against scipy's adaptive quadrature ---------------------
+
+
+def scipy_half_line(f, s, sign):
+    """The same half-line integral by scipy.integrate.quad, after x = e^u
+    on (0, 1) as in real_zeta."""
+
+    def cquad(g, lo, hi):
+        opts = dict(limit=250, epsabs=1e-13, epsrel=1e-12)
+        return complex(quad(lambda t: g(t).real, lo, hi, **opts)[0], quad(lambda t: g(t).imag, lo, hi, **opts)[0])
+
+    inner = cquad(lambda u: cmath.exp((s + 1) * u) * complex(f(sign * math.exp(u))), -math.inf, 0.0)
+    outer = cquad(lambda x: cmath.exp(s * math.log(x)) * complex(f(sign * x)), 1.0, math.inf)
+    return inner + outer
+
+
+@pytest.mark.parametrize("s", [-0.99, -0.9, -0.5, -0.01, -0.62 + 0.3j, -0.5 + 0.7j])
+def test_real_zeta_matches_scipy(s):
+    for _, f in default_real_test_set():
+        for g in (f, f.fourier()):
+            for side, sign in (("pos", 1), ("neg", -1)):
+                ours, ref = real_zeta(g, s, side), scipy_half_line(g, s, sign)
+                assert abs(ours - ref) <= 1e-12 * abs(ref), (s, g, side)
+
+
+def test_hermite_gaussian_takes_arrays_and_far_nodes():
+    f = HermiteGaussian(poly=(0.5, 1, 1), shift=0.3, modulation=-0.2, scale=1 - 0.5j)
+    xs = np.array([-1e300, -50.0, -0.7, 0.0, 0.4, 2.5, 50.0, 1e300])
+    values = f(xs)
+    assert not np.isnan(values).any()
+    assert values[0] == values[1] == values[-2] == values[-1] == 0
+    for x, value in zip(xs[2:-2], values[2:-2]):
+        assert abs(value - f(float(x))) <= 1e-15 * abs(value)  # SIMD exp may differ by an ulp
+
+
+# -- the vectorised Hasse invariant of the Monte Carlo probe -------------------
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_sym3_classes_match_exact_diagonalisation(p):
+    rng = np.random.default_rng(p)
+    flat = rng.integers(-4, 5, size=(3000, 6))
+    flat[::3, 0] = 0  # d1 = 0 on every third row
+    x = flat[:, [[0, 3, 4], [3, 1, 5], [4, 5, 2]]]
+    # d1 != 0, d2 = 0, d3 != 0: x00 x11 = x01^2
+    x = np.concatenate([x, np.array([[[1, 1, 0], [1, 1, 1], [0, 1, 1]], [[p, p, 1], [p, p, 0], [1, 0, 2]]])])
+    dets = np.array([SymMatrix.make(m.tolist()).det() for m in x])
+    x = x[dets != 0]
+    d1, d2 = x[:, 0, 0], x[:, 0, 0] * x[:, 1, 1] - x[:, 0, 1] ** 2
+    assert ((d1 == 0).sum() > 100) and ((d1 != 0) & (d2 == 0)).sum() >= 2
+    hasse, det_bits, vdet = sym3_classes(x, Qp(p))
+    for m, h, b, v in zip(x, hasse, det_bits, vdet):
+        q = form_of_matrix(SymMatrix.make(m.tolist()), Qp(p))
+        assert 1 - 2 * h == q.hasse()
+        assert (b, v) == (class_bits(q.det(), Qp(p)), valuation(q.det(), p))

@@ -251,3 +251,22 @@ def test_gamma_epsilon_seeded_pairs():
             continue
         assert gamma_matches_epsilon(q, r, psi).ok
         found += 1
+
+
+def test_real_gamma_against_fresnel_integrals():
+    """A second route to gamma at R: FT(psi(a x^2))(0) = gamma |2a|^(-1/2),
+    and x -> x/sqrt|a| turns the left side into |a|^(-1/2) times
+    2 (C + i s sign(a) S), with C and S the Fresnel integrals of cos(2 pi x^2)
+    and sin(2 pi x^2) over (0, inf), summed by mpmath without the closed form."""
+    import mpmath
+
+    with mpmath.workdps(20):
+        zeros = lambda n: mpmath.sqrt(n / mpmath.mpf(2))  # noqa: E731  zeros of sin(2 pi x^2)
+        C = complex(mpmath.quadosc(lambda x: mpmath.cos(2 * mpmath.pi * x * x), [0, mpmath.inf], zeros=zeros))
+        S = complex(mpmath.quadosc(lambda x: mpmath.sin(2 * mpmath.pi * x * x), [0, mpmath.inf], zeros=zeros))
+    for a in (Fraction(1), Fraction(-1), Fraction(3), Fraction(-1, 5)):
+        for sign in (1, -1):
+            sigma = sign * (1 if a > 0 else -1)
+            transform = abs(a) ** -0.5 * 2 * (C + 1j * sigma * S)
+            by_quadrature = transform * abs(2 * a) ** 0.5
+            assert abs(gamma_rank1(a, AdditiveCharacter(REAL, sign)).value - by_quadrature) < 1e-12
