@@ -15,6 +15,16 @@ iteration) contributes
     psi(t f(x0)) * |t|^(-n/2) * gamma(q0, psi) * |det H(x0)|^(-1/2)
 
 where H is the Hessian matrix and q0(v) = v^T H(x0) v / 2.
+
+The sums run on the chunked kernel of `charsum`: a one-variable sum is
+`poly_phase_sum` over z mod p^e, and a two-variable one is evaluated in
+row blocks of at most `charsum._CHUNK` grid entries, each summed by
+`phase_sum`.  Each term is a product of two tabulated roots of unity,
+within a few ulp of the exact root, so a sum of N terms is off by at
+most a few N ulp.  The numerators stay in int64: they are below p^e,
+and a value below p^e is only ever multiplied by a coordinate below
+p^e, where p^e <= TERM_BUDGET = 10^7 in one variable and
+p^(2e) <= TERM_BUDGET in two.
 """
 
 from __future__ import annotations
@@ -25,11 +35,12 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import charsum
 from .charsum import (
-    TERM_BUDGET,
     check_budget,
     phase_sum,
     poly_eval_mod,
+    poly_phase_sum,
     reduce_mod_prime_power,
 )
 from .forms import QuadraticForm, SymMatrix, form_of_matrix
@@ -172,7 +183,7 @@ class PhaseIntegralResult:
     value: complex
     conductor: int  # phase period exponent e: summation ran over (Z/p^e)^n
     terms: int
-    stabilized: bool
+    stabilized: bool  # always True: the sum is exactly periodic, see exact_oscillatory_integral
 
     def as_dict(self) -> dict:
         return {
@@ -188,6 +199,17 @@ def _phase_exponent(f: PhasePolynomial, t: Fraction, p: int) -> int:
     return max(0, -(valuation(t, p) + vmin))
 
 
+def _phase_numerators(mon: Monomials, t: Fraction, p: int, e: int) -> Monomials:
+    """The coefficients of p^e * t * f reduced mod p^e: the integer
+    numerators of the phase t*f(x) mod 1 over the denominator p^e.
+
+    They depend on t only mod p^(-e) Z_p, and `reduce_mod_prime_power`
+    raises unless every scaled coefficient is p-integral, so the phase
+    is exactly periodic mod p^e in each variable."""
+    pe = p**e
+    return {k: reduce_mod_prime_power(t * c * pe, p, e) for k, c in mon.items()}
+
+
 def _sum_1d(mon: Monomials, t: Fraction, p: int, e: int) -> complex:
     """sum over z mod p^e of psi(t * g(z)), g one-variable, normalized."""
     if e == 0:
@@ -196,13 +218,16 @@ def _sum_1d(mon: Monomials, t: Fraction, p: int, e: int) -> complex:
     check_budget(pe, "oscillatory sum")
     degree = max((k[0] + k[1] for k in mon), default=0)
     coeffs = [0] * (degree + 1)
-    for k, c in mon.items():
-        coeffs[k[0] + k[1]] = reduce_mod_prime_power(t * c * pe, p, e)
-    z = np.arange(pe, dtype=np.int64)
-    return phase_sum(poly_eval_mod(coeffs, z, pe), p, e) / pe
+    for k, c in _phase_numerators(mon, t, p, e).items():
+        coeffs[k[0] + k[1]] = c
+    return poly_phase_sum(coeffs, p, e, pe) / pe
 
 
 def _sum_2d(f: PhasePolynomial, t: Fraction, p: int, e: int) -> complex:
+    """The two-variable sum over (x, y) mod p^e, normalized, in row
+    blocks of at most `charsum._CHUNK` grid entries: each block is evaluated by
+    Horner in y over the x-polynomial coefficients of its rows and
+    summed by `phase_sum` before the next is built."""
     if e == 0:
         return 1 + 0j
     pe = p**e
@@ -211,56 +236,46 @@ def _sum_2d(f: PhasePolynomial, t: Fraction, p: int, e: int) -> complex:
     dy = max(k[1] for k, _ in f.terms)
     # coefficient of y^j as an integer polynomial in x, reduced mod p^e
     xcoeffs = [[0] * (dx + 1) for _ in range(dy + 1)]
-    for (ex, ey), c in f.terms:
-        xcoeffs[ey][ex] = reduce_mod_prime_power(t * c * pe, p, e)
-    zs = np.arange(pe, dtype=np.int64)
-    ypows = [np.ones(pe, dtype=np.int64)]
-    for _ in range(dy):
-        ypows.append(ypows[-1] * zs % pe)
+    for (ex, ey), c in _phase_numerators(f.monomials, t, p, e).items():
+        xcoeffs[ey][ex] = c
+    ys = np.arange(pe, dtype=np.int64)
+    rows = max(1, charsum._CHUNK // pe)
     total = 0 + 0j
-    chunk = max(1, TERM_BUDGET // (8 * pe))
-    for start in range(0, pe, chunk):
-        xs = zs[start : start + chunk]
-        nums = np.zeros((xs.size, pe), dtype=np.int64)
-        for j in range(dy + 1):
-            cj = poly_eval_mod(xcoeffs[j], xs, pe)
-            nums = (nums + cj[:, None] * ypows[j][None, :]) % pe
+    for start in range(0, pe, rows):
+        xs = np.arange(start, min(start + rows, pe), dtype=np.int64)
+        nums = np.empty((xs.size, pe), dtype=np.int64)
+        nums[:] = poly_eval_mod(xcoeffs[dy], xs, pe)[:, None]
+        for j in range(dy - 1, -1, -1):
+            np.multiply(nums, ys, out=nums)
+            np.add(nums, poly_eval_mod(xcoeffs[j], xs, pe)[:, None], out=nums)
+            np.remainder(nums, pe, out=nums)
         total += phase_sum(nums, p, e)
     return total / pe**2
 
 
-def exact_oscillatory_integral(
-    f: PhasePolynomial, t: Rational, certify: bool = True
-) -> PhaseIntegralResult:
+def exact_oscillatory_integral(f: PhasePolynomial, t: Rational) -> PhaseIntegralResult:
     """Exact value of the n-dimensional integral of psi(t f(x)) over Z_p^n.
 
     The phase is periodic mod p^e with e its exact denominator exponent,
-    so the level-e full sum has no truncation error.  When `certify` is
-    set the value is recomputed with t replaced by t(1 + p^e), an equal
-    phase function reaching different intermediate arithmetic; agreement
-    to 1e-12 is reported in `stabilized`.
+    so the level-e full sum has no truncation error.  `stabilized` records
+    that periodicity and is always True: the numerators are p-integral
+    (`reduce_mod_prime_power` raises otherwise) and depend on t only
+    mod p^(-e) Z_p, so t and t(1 + p^e) give the same sum term by term.
     """
     t = Fraction(t)
     p = f.place.p
     if t == 0 or valuation(t, p) >= 0:
         raise ValueError("need |t| > 1 for an oscillatory phase")
     e = _phase_exponent(f, t, p)
-
-    def evaluate(tt: Fraction) -> complex:
-        if f.nvars == 1:
-            return _sum_1d(f.monomials, tt, p, e)
-        if f.is_separable():
-            gx, gy = f.split_separable()
-            return _sum_1d(gx, tt, p, e) * _sum_1d(gy, tt, p, e)
-        return _sum_2d(f, tt, p, e)
-
-    value = evaluate(t)
-    stabilized = False
-    if certify:
-        again = evaluate(t * (1 + Fraction(p) ** e))
-        stabilized = abs(value - again) < 1e-12
+    if f.nvars == 1:
+        value = _sum_1d(f.monomials, t, p, e)
+    elif f.is_separable():
+        gx, gy = f.split_separable()
+        value = _sum_1d(gx, t, p, e) * _sum_1d(gy, t, p, e)
+    else:
+        value = _sum_2d(f, t, p, e)
     terms = p ** (e * f.nvars) if not (f.nvars == 2 and f.is_separable()) else 2 * p**e
-    return PhaseIntegralResult(value, e, terms, stabilized)
+    return PhaseIntegralResult(value, e, terms, True)
 
 
 @dataclass(frozen=True)

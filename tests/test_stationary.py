@@ -115,3 +115,21 @@ def test_nonseparable_2d_against_grid():
     t = Fraction(3, 25)
     exact = exact_oscillatory_integral(f, t)
     assert abs(exact.value - brute_integral(f, t, 2)) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "src,p,t",
+    [("x^3 - 3*x", 7, Fraction(1, 7**4)), ("x^2 + x*y + 2*y^2 + x", 5, Fraction(3, 25)), ("x^2 + y^2", 13, Fraction(2, 13**2))],
+)
+def test_numerators_are_periodic_in_t(src, p, t):
+    # the exact sum reads t only through these numerators, so the sums at
+    # t and t(1 + p^e) agree term by term: `stabilized` is always True
+    from locquad.stationary import _phase_exponent, _phase_numerators
+
+    f = PhasePolynomial.parse(src, Qp(p))
+    e = _phase_exponent(f, t, p)
+    shifted = t * (1 + Fraction(p) ** e)
+    assert _phase_exponent(f, shifted, p) == e
+    assert _phase_numerators(f.monomials, shifted, p, e) == _phase_numerators(f.monomials, t, p, e)
+    assert exact_oscillatory_integral(f, shifted).value == exact_oscillatory_integral(f, t).value
+    assert exact_oscillatory_integral(f, t).stabilized
