@@ -71,6 +71,12 @@ def test_poly_eval_mod_matches_integer_horner():
                 want = [sum(c * int(x) ** k for k, c in enumerate(coeffs)) % pe for x in z]
                 assert poly_eval_mod(coeffs, z, pe).tolist() == want
     assert poly_eval_mod([0, 0, 0], np.arange(4, dtype=np.int64), 9).tolist() == [0] * 4
+    # at the top of the term budget, z^4 alone would overflow int64
+    pe = 13**6
+    z = np.array([0, 1, pe - 1, charsum.TERM_BUDGET - 1], dtype=np.int64)
+    coeffs = [pe - 1, pe - 2, pe - 3, pe - 4, pe - 5]
+    want = [sum(c * int(x) ** k for k, c in enumerate(coeffs)) % pe for x in z]
+    assert poly_eval_mod(coeffs, z, pe).tolist() == want
 
 
 @pytest.mark.parametrize("p", PRIMES)

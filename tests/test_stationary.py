@@ -119,7 +119,11 @@ def test_nonseparable_2d_against_grid():
 
 @pytest.mark.parametrize(
     "src,p,t",
-    [("x^3 - 3*x", 7, Fraction(1, 7**4)), ("x^2 + x*y + 2*y^2 + x", 5, Fraction(3, 25)), ("x^2 + y^2", 13, Fraction(2, 13**2))],
+    [
+        ("x^3 - 3*x", 7, Fraction(1, 7**4)),
+        ("x^2 + x*y + 2*y^2 + x", 5, Fraction(3, 25)),
+        ("x^2 + y^2", 13, Fraction(2, 13**2)),
+    ],
 )
 def test_numerators_are_periodic_in_t(src, p, t):
     # the exact sum reads t only through these numerators, so the sums at
