@@ -1,10 +1,15 @@
 """Deterministic exact evaluation of p-adic character sums.
 
-Every oscillatory quantity in this package reduces to finite sums of the
-shape sum_z exp(2 pi i N(z) / p^e) with N(z) an integer-valued
-polynomial reduced mod p^e.  The reductions are exact: numerators are
-computed in modular integer arithmetic, and floating point enters only
-in the roots of unity and their sum.
+Every exact p-adic integral in this package, the integral over Z_p^n
+of psi(f) for a polynomial f with rational coefficients, is computed
+here.  `padic_poly_sum` (one variable) and `padic_poly_sum_2d` (two)
+take the coefficients as rationals, and `_numerators` works out the
+conductor e = max(0, -min v(c)) and the integers p^e * c mod p^e.  The
+phase is then periodic mod p^e in each variable, so one period, a
+finite sum of exp(2 pi i N(z) / p^e), is the integral on the nose.  The
+reductions are exact: numerators are computed in modular integer
+arithmetic, and floating point enters only in the roots of unity and
+their sum.
 
 One kernel, `poly_phase_sum`, carries every such sum.  It walks z in
 slices of `_CHUNK` values, evaluates the numerators of a slice by
@@ -23,9 +28,10 @@ one numpy build and CPU; the BLAS thread count does not enter.  A
 different CPU or numpy build may pick other SIMD loops for the complex
 exp and the sum, and so move the last bits.
 
-int64 is safe throughout: a modulus is at most 2^31, and a numerator is
-multiplied only by a coordinate z, which the term budget keeps below
-10^7 < 2^24, so every intermediate product is below 2^55.
+int64 is safe throughout: the integrals check their term count, p^e or
+p^(2e), against TERM_BUDGET = 10^7 < 2^24 before they sum, so a modulus,
+a numerator and a coordinate z are each below 2^24, and every
+intermediate product is below 2^48.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .places import valuation
+from .places import reduce_mod_prime_power, valuation
 
 # Hard cap on the number of enumerated terms in any one exact sum.
 TERM_BUDGET = 10**7
@@ -57,16 +63,6 @@ def check_budget(terms: int, what: str = "character sum"):
         raise BudgetError(
             f"{what} needs {terms} terms, over the budget of {TERM_BUDGET}"
         )
-
-
-def reduce_mod_prime_power(x: Fraction, p: int, e: int) -> int:
-    """x mod p^e for a rational x integral at p (prime-to-p denominator
-    is inverted mod p^e)."""
-    pe = p**e
-    num, den = x.numerator, x.denominator
-    if den % p == 0:
-        raise ValueError(f"{x} is not integral at {p}")
-    return num * pow(den, -1, pe) % pe
 
 
 def phase_sum(numerators: np.ndarray, p: int, e: int) -> complex:
@@ -124,25 +120,57 @@ def poly_phase_sum(coeffs: list[int], p: int, e: int, count: int) -> complex:
     return total
 
 
-def padic_poly_sum(coeffs: list[Fraction], p: int, K: int) -> tuple[complex, int]:
-    """Normalized exact sum p^-K sum_{z mod p^K} psi(f(z)) for the
-    standard character psi and f(z) = sum coeffs[k] z^k with rational
-    coefficients whose denominators are powers of p.
-
-    Returns (value, e) where p^e was the common phase denominator.
-    Exactness: f(z) mod 1 (in the p-adic sense) has denominator p^e with
-    e = -min_k v(coeffs[k]); for z ranging over a full period p^K with
-    K >= e the sum is the exact integral of psi(f) over Z_p.
-    """
-    e = 0
-    for c in coeffs:
-        if c != 0:
-            e = max(e, -valuation(c, p))
-    if e == 0:
-        return 1.0 + 0j, 0  # psi(f) constant 1 on Z_p, up to unit phase
+def _numerators(coeffs, p: int) -> tuple[int, list[int]]:
+    """The conductor e = max(0, -min v(c)) of rational coefficients, and
+    their numerators p^e * c mod p^e over the common denominator p^e."""
+    e = max([0] + [-valuation(c, p) for c in coeffs if c])
     pe = p**e
-    if pe > 2**31 - 1:
-        raise BudgetError(f"phase modulus {p}^{e} exceeds the int64-safe cap")
-    check_budget(p**K, "p-adic polynomial sum")
-    ints = [reduce_mod_prime_power(c * pe, p, e) if c else 0 for c in coeffs]
-    return poly_phase_sum(ints, p, e, p**K) / p**K, e
+    return e, [reduce_mod_prime_power(c * pe, p, e) if c else 0 for c in coeffs]
+
+
+def padic_poly_sum(coeffs: list[Fraction], p: int) -> tuple[complex, int]:
+    """The exact integral over Z_p of psi(f), f(z) = sum coeffs[k] z^k
+    with rational coefficients, for the standard character psi.
+
+    Returns (value, e): the sum p^-e sum_{z mod p^e} psi(f(z)) over one
+    period of the phase, e its conductor (see `_numerators`)."""
+    e, ints = _numerators(coeffs, p)
+    if e == 0:
+        return 1 + 0j, 0  # psi(f) is 1 on all of Z_p
+    pe = p**e
+    check_budget(pe, "oscillatory sum")
+    return poly_phase_sum(ints, p, e, pe) / pe, e
+
+
+def padic_poly_sum_2d(mon: dict[tuple[int, int], Fraction], p: int) -> tuple[complex, int]:
+    """The exact integral over Z_p^2 of psi(f) for f(x, y) = sum of
+    mon[(i, j)] x^i y^j with rational coefficients: (value, e) as for
+    `padic_poly_sum`, summed over (x, y) mod p^e.
+
+    The grid is walked in row blocks of at most `_CHUNK` entries: each
+    block is evaluated by Horner in y over the x-polynomial coefficients
+    of its rows and summed by `phase_sum` before the next is built."""
+    e, ints = _numerators(list(mon.values()), p)
+    if e == 0:
+        return 1 + 0j, 0
+    pe = p**e
+    check_budget(pe * pe, "two-variable oscillatory sum")
+    dx = max(i for i, _ in mon)
+    dy = max(j for _, j in mon)
+    # coefficient of y^j as an integer polynomial in x, reduced mod p^e
+    xcoeffs = [[0] * (dx + 1) for _ in range(dy + 1)]
+    for (i, j), c in zip(mon, ints):
+        xcoeffs[j][i] = c
+    ys = np.arange(pe, dtype=np.int64)
+    rows = max(1, _CHUNK // pe)
+    total = 0 + 0j
+    for start in range(0, pe, rows):
+        xs = np.arange(start, min(start + rows, pe), dtype=np.int64)
+        nums = np.empty((xs.size, pe), dtype=np.int64)
+        nums[:] = poly_eval_mod(xcoeffs[dy], xs, pe)[:, None]
+        for j in range(dy - 1, -1, -1):
+            np.multiply(nums, ys, out=nums)
+            np.add(nums, poly_eval_mod(xcoeffs[j], xs, pe)[:, None], out=nums)
+            np.remainder(nums, pe, out=nums)
+        total += phase_sum(nums, p, e)
+    return total / pe**2, e

@@ -394,15 +394,13 @@ def _run_one_suite(item) -> dict:
 
 
 def _cmd_verify(args, parser) -> tuple[dict, bool]:
-    from .suites import SUITES
+    from .suites import SUITES, SuiteOptionError
 
     options = {}
     if args.n is not None:
         options["n"] = args.n
     if args.place is not None:
         options["place"] = args.place
-    if args.p is not None:
-        options["p"] = args.p
     if args.samples is not None:
         options["samples"] = args.samples
     if args.suite:
@@ -411,7 +409,7 @@ def _cmd_verify(args, parser) -> tuple[dict, bool]:
         names = [args.suite]
     else:
         if options:
-            parser.error("--n/--place/--p/--samples apply to a single --suite run")
+            parser.error("--n/--place/--samples apply to a single --suite run")
         names = [n for n in SUITES if n != "sym3-mc"]  # gating suites only
 
     jobs = args.jobs
@@ -424,7 +422,11 @@ def _cmd_verify(args, parser) -> tuple[dict, bool]:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             reports = list(pool.map(_run_one_suite, items))
     else:
-        reports = [_run_one_suite(item) for item in items]
+        # options come with one --suite, so they are checked in this process
+        try:
+            reports = [_run_one_suite(item) for item in items]
+        except SuiteOptionError as e:
+            parser.error(str(e))
 
     gate = all(r["ok"] for r in reports if r["gating"]) and all(
         r["ok"] for r in reports if args.suite
@@ -526,7 +528,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--n", type=int)
     p.add_argument("--place", type=_arg_place)
-    p.add_argument("--p", type=int)
     p.add_argument("--samples", type=int)
     p.add_argument("--out", help="also write the JSON report to this path")
     p.add_argument("--jobs", type=int, default=None, help="suite workers; default LOCQUAD_WORKERS or 1")

@@ -126,13 +126,20 @@ def padic_abs(x: Rational, place: Place) -> Fraction:
     return Fraction(1, place.p) ** valuation(x, place.p)
 
 
-def unit_part_mod(x: Rational, p: int, modulus: int) -> int:
-    """The unit part x / p^v(x) reduced mod `modulus` (coprime to p)."""
-    x = Fraction(x)
-    v = valuation(x, p)
-    x = x / Fraction(p) ** v
+def reduce_mod_prime_power(x: Fraction, p: int, e: int) -> int:
+    """x mod p^e for a rational x integral at p (prime-to-p denominator
+    is inverted mod p^e)."""
+    pe = p**e
     num, den = x.numerator, x.denominator
-    return num * pow(den, -1, modulus) % modulus
+    if den % p == 0:
+        raise ValueError(f"{x} is not integral at {p}")
+    return num * pow(den, -1, pe) % pe
+
+
+def unit_part_mod(x: Rational, p: int, k: int) -> int:
+    """The unit part x / p^v(x) reduced mod p^k."""
+    x = Fraction(x)
+    return reduce_mod_prime_power(x / Fraction(p) ** valuation(x, p), p, k)
 
 
 def legendre(a: int, p: int) -> int:
@@ -303,7 +310,7 @@ def hilbert_symbol_oracle(a: Rational, b: Rational, place: Place) -> int:
     q = p**K
     if q * q > 10**8:
         raise ValueError(f"oracle lattice too large for p={p}")
-    ra, rb = (p ** (valuation(x, p) % 2) * unit_part_mod(x, p, q) for x in (a, b))
+    ra, rb = (p ** (valuation(x, p) % 2) * unit_part_mod(x, p, K) for x in (a, b))
     # numpy is loaded here and in class_bits_array only, never on exact paths
     import numpy as np
 
@@ -328,12 +335,8 @@ def frac_part(x: Rational, p: int) -> Fraction:
     v = valuation(x, p)
     if v >= 0:
         return Fraction(0)
-    k = -v
-    pk = p**k
-    num = x.numerator
-    den = x.denominator
-    den_unit = den // pk
-    return Fraction(num * pow(den_unit, -1, pk) % pk, pk)
+    pk = p**-v
+    return Fraction(reduce_mod_prime_power(x * pk, p, -v), pk)
 
 
 @dataclass(frozen=True)

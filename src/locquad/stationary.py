@@ -16,15 +16,14 @@ iteration) contributes
 
 where H is the Hessian matrix and q0(v) = v^T H(x0) v / 2.
 
-The sums run on the chunked kernel of `charsum`: a one-variable sum is
-`poly_phase_sum` over z mod p^e, and a two-variable one is evaluated in
-row blocks of at most `charsum._CHUNK` grid entries, each summed by
-`phase_sum`.  Each term is a product of two tabulated roots of unity,
-within a few ulp of the exact root, so a sum of N terms is off by at
-most a few N ulp.  The numerators stay in int64: they are below p^e,
-and a value below p^e is only ever multiplied by a coordinate below
-p^e, where p^e <= TERM_BUDGET = 10^7 in one variable and
-p^(2e) <= TERM_BUDGET in two.
+`charsum` owns the exact integrals: `exact_oscillatory_integral` scales
+the coefficients of f by t and hands them over as rationals, and
+`charsum` works out the conductor e, the numerators mod p^e and the
+sum.  A separable f = g(x) + h(y) is summed as a product of two
+one-variable integrals, since the grid (Z/p^e)^2 outgrows TERM_BUDGET
+long before either axis does.  Each term is a product of two tabulated
+roots of unity, within a few ulp of the exact root, so a sum of N terms
+is off by at most a few N ulp.
 """
 
 from __future__ import annotations
@@ -33,16 +32,7 @@ import ast
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from . import charsum
-from .charsum import (
-    check_budget,
-    phase_sum,
-    poly_eval_mod,
-    poly_phase_sum,
-    reduce_mod_prime_power,
-)
+from .charsum import padic_poly_sum, padic_poly_sum_2d
 from .forms import QuadraticForm, SymMatrix, form_of_matrix
 from .places import AdditiveCharacter, Place, Rational, valuation
 from .weil import gamma_form
@@ -181,8 +171,8 @@ def _eval_monomials(mon: Monomials, point: tuple[int, ...], modulus: int | None 
 @dataclass(frozen=True)
 class PhaseIntegralResult:
     value: complex
-    conductor: int  # phase period exponent e: summation ran over (Z/p^e)^n
-    terms: int
+    conductor: int  # e: the phase t*f is periodic mod p^e in each variable
+    terms: int  # terms enumerated: p^(2e) on the grid, or one period per separable factor
     stabilized: bool  # always True: the sum is exactly periodic, see exact_oscillatory_integral
 
     def as_dict(self) -> dict:
@@ -194,87 +184,39 @@ class PhaseIntegralResult:
         }
 
 
-def _phase_exponent(f: PhasePolynomial, t: Fraction, p: int) -> int:
-    vmin = min(valuation(Fraction(c), p) for _, c in f.terms)
-    return max(0, -(valuation(t, p) + vmin))
-
-
-def _phase_numerators(mon: Monomials, t: Fraction, p: int, e: int) -> Monomials:
-    """The coefficients of p^e * t * f reduced mod p^e: the integer
-    numerators of the phase t*f(x) mod 1 over the denominator p^e.
-
-    They depend on t only mod p^(-e) Z_p, and `reduce_mod_prime_power`
-    raises unless every scaled coefficient is p-integral, so the phase
-    is exactly periodic mod p^e in each variable."""
-    pe = p**e
-    return {k: reduce_mod_prime_power(t * c * pe, p, e) for k, c in mon.items()}
-
-
-def _sum_1d(mon: Monomials, t: Fraction, p: int, e: int) -> complex:
-    """sum over z mod p^e of psi(t * g(z)), g one-variable, normalized."""
-    if e == 0:
-        return 1 + 0j
-    pe = p**e
-    check_budget(pe, "oscillatory sum")
-    degree = max((k[0] + k[1] for k in mon), default=0)
-    coeffs = [0] * (degree + 1)
-    for k, c in _phase_numerators(mon, t, p, e).items():
-        coeffs[k[0] + k[1]] = c
-    return poly_phase_sum(coeffs, p, e, pe) / pe
-
-
-def _sum_2d(f: PhasePolynomial, t: Fraction, p: int, e: int) -> complex:
-    """The two-variable sum over (x, y) mod p^e, normalized, in row
-    blocks of at most `charsum._CHUNK` grid entries: each block is evaluated by
-    Horner in y over the x-polynomial coefficients of its rows and
-    summed by `phase_sum` before the next is built."""
-    if e == 0:
-        return 1 + 0j
-    pe = p**e
-    check_budget(pe * pe, "two-variable oscillatory sum")
-    dx = max(k[0] for k, _ in f.terms)
-    dy = max(k[1] for k, _ in f.terms)
-    # coefficient of y^j as an integer polynomial in x, reduced mod p^e
-    xcoeffs = [[0] * (dx + 1) for _ in range(dy + 1)]
-    for (ex, ey), c in _phase_numerators(f.monomials, t, p, e).items():
-        xcoeffs[ey][ex] = c
-    ys = np.arange(pe, dtype=np.int64)
-    rows = max(1, charsum._CHUNK // pe)
-    total = 0 + 0j
-    for start in range(0, pe, rows):
-        xs = np.arange(start, min(start + rows, pe), dtype=np.int64)
-        nums = np.empty((xs.size, pe), dtype=np.int64)
-        nums[:] = poly_eval_mod(xcoeffs[dy], xs, pe)[:, None]
-        for j in range(dy - 1, -1, -1):
-            np.multiply(nums, ys, out=nums)
-            np.add(nums, poly_eval_mod(xcoeffs[j], xs, pe)[:, None], out=nums)
-            np.remainder(nums, pe, out=nums)
-        total += phase_sum(nums, p, e)
-    return total / pe**2
+def _coeff_list(mon: dict) -> list:
+    """The coefficients of a one-variable polynomial (in x or in y) by degree."""
+    coeffs = [0] * (max(i + j for i, j in mon) + 1)
+    for (i, j), c in mon.items():
+        coeffs[i + j] = c
+    return coeffs
 
 
 def exact_oscillatory_integral(f: PhasePolynomial, t: Rational) -> PhaseIntegralResult:
     """Exact value of the n-dimensional integral of psi(t f(x)) over Z_p^n.
 
-    The phase is periodic mod p^e with e its exact denominator exponent,
-    so the level-e full sum has no truncation error.  `stabilized` records
-    that periodicity and is always True: the numerators are p-integral
-    (`reduce_mod_prime_power` raises otherwise) and depend on t only
-    mod p^(-e) Z_p, so t and t(1 + p^e) give the same sum term by term.
+    `charsum` sums the phase t*f over one full period (Z/p^e)^n, e its
+    conductor, so there is no truncation error.  `stabilized` records
+    that periodicity and is always True: the numerators of t*f over p^e
+    depend on t only mod p^(-e) Z_p, so t and t(1 + p^e) give the same
+    sum term by term.
     """
     t = Fraction(t)
     p = f.place.p
     if t == 0 or valuation(t, p) >= 0:
         raise ValueError("need |t| > 1 for an oscillatory phase")
-    e = _phase_exponent(f, t, p)
+    scaled = {k: t * c for k, c in f.terms}
     if f.nvars == 1:
-        value = _sum_1d(f.monomials, t, p, e)
+        value, e = padic_poly_sum(_coeff_list(scaled), p)
+        terms = p**e
     elif f.is_separable():
-        gx, gy = f.split_separable()
-        value = _sum_1d(gx, t, p, e) * _sum_1d(gy, t, p, e)
+        (vx, ex), (vy, ey) = (
+            padic_poly_sum(_coeff_list({k: scaled[k] for k in g}), p) for g in f.split_separable()
+        )
+        value, e, terms = vx * vy, max(ex, ey), p**ex + p**ey
     else:
-        value = _sum_2d(f, t, p, e)
-    terms = p ** (e * f.nvars) if not (f.nvars == 2 and f.is_separable()) else 2 * p**e
+        value, e = padic_poly_sum_2d(scaled, p)
+        terms = p ** (2 * e)
     return PhaseIntegralResult(value, e, terms, True)
 
 

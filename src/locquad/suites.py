@@ -7,6 +7,7 @@ timing is kept out of the report body.
 
 from __future__ import annotations
 
+import inspect
 import os
 import random
 from dataclasses import dataclass
@@ -114,10 +115,24 @@ def _parse_place_opt(place) -> Place | None:
     return Place.parse(str(place))
 
 
+class SuiteOptionError(ValueError):
+    """An option the suite does not take, or a value it cannot run at."""
+
+
+def _padic_primes(place, default: tuple[int, ...]) -> tuple[int, ...]:
+    """The primes a p-adic suite runs at: `default`, or that of `place`."""
+    place = _parse_place_opt(place)
+    if place is None:
+        return default
+    if place.is_real:
+        raise SuiteOptionError("--place: this suite is p-adic; give p:<prime>")
+    return (place.p,)
+
+
 # -- criterion 1 -------------------------------------------------------------
 
 
-def suite_hilbert_oracle(seed: int = 0, place=None, **_) -> SuiteReport:
+def suite_hilbert_oracle(seed: int = 0, place=None) -> SuiteReport:
     """Closed-form Hilbert symbol against the lattice-search oracle."""
     places = [REAL] + [Qp(p) for p in (2, 3, 5, 7, 11, 13)]
     only = _parse_place_opt(place)
@@ -163,7 +178,7 @@ def _support_places(*xs: Fraction) -> list[Place]:
     return [REAL] + [Qp(p) for p in sorted(primes)]
 
 
-def suite_product_formula(seed: int = 0, **_) -> SuiteReport:
+def suite_product_formula(seed: int = 0) -> SuiteReport:
     """prod over places of (a,b)_v = +1 for random rational pairs."""
     rng = random.Random(seed)
     cases = []
@@ -204,7 +219,7 @@ def _random_form(rng: random.Random, place: Place, rank: int) -> QuadraticForm:
     return QuadraticForm.make(coeffs, place)
 
 
-def suite_equivalence(seed: int = 0, place=None, **_) -> SuiteReport:
+def suite_equivalence(seed: int = 0, place=None) -> SuiteReport:
     """Form invariants survive random unimodular congruences."""
     rng = random.Random(seed)
     places = [REAL, Qp(2), Qp(5), Qp(7)]
@@ -275,7 +290,7 @@ def _level2_pairs(rng: random.Random, place: Place, count: int):
     return found
 
 
-def suite_weil_gamma(seed: int = 0, place=None, **_) -> SuiteReport:
+def suite_weil_gamma(seed: int = 0, place=None) -> SuiteReport:
     """Eighth-root property, Witt invariance, and the epsilon comparison."""
     rng = random.Random(seed)
     places = [REAL, Qp(2), Qp(3), Qp(5), Qp(7)]
@@ -424,10 +439,10 @@ def _weil_reciprocity_case(rng: random.Random, count: int = 40) -> Case:
 # -- criterion 5 -------------------------------------------------------------
 
 
-def suite_weil_equation(seed: int = 0, p=None, **_) -> SuiteReport:
+def suite_weil_equation(seed: int = 0, place=None) -> SuiteReport:
     """Both sides of the gamma functional equation as exact finite sums."""
     rng = random.Random(seed)
-    primes = (3, 5, 7) if p is None else (int(p),)
+    primes = _padic_primes(place, (3, 5, 7))
     cases = []
     for prime in primes:
         pl = Qp(prime)
@@ -462,15 +477,17 @@ def suite_weil_equation(seed: int = 0, p=None, **_) -> SuiteReport:
 # -- criterion 6 -------------------------------------------------------------
 
 
-def suite_stationary(seed: int = 0, p=None, **_) -> SuiteReport:
+def suite_stationary(seed: int = 0, place=None) -> SuiteReport:
     """Exact oscillatory integrals against the critical-point prediction."""
     plan = [
         ("x^3 - 3*x", 7),
         ("x^3 - 3*x", 13),
         ("x^2 + y^2", 5),
     ]
-    if p is not None:
-        plan = [(f, prime) for f, prime in plan if prime == int(p)]
+    primes = _padic_primes(place, tuple(prime for _, prime in plan))
+    plan = [(f, prime) for f, prime in plan if prime in primes]
+    if not plan:
+        raise SuiteOptionError("--place: this suite has cases at p:5, p:7 and p:13 only")
     cases = []
     for src, prime in plan:
         f = PhasePolynomial.parse(src, Qp(prime))
@@ -491,7 +508,7 @@ def suite_stationary(seed: int = 0, p=None, **_) -> SuiteReport:
 # -- criterion 7 -------------------------------------------------------------
 
 
-def suite_signprop(seed: int = 0, n=None, place=None, **_) -> SuiteReport:
+def suite_signprop(seed: int = 0, n=None, place=None) -> SuiteReport:
     """Exhaustive pairing-sign law over square-class diagonal matrices."""
     ns = (3, 5) if n is None else (int(n),)
     places = [Qp(5), Qp(7), Qp(13), REAL]
@@ -516,7 +533,7 @@ def suite_signprop(seed: int = 0, n=None, place=None, **_) -> SuiteReport:
 # -- criterion 8 -------------------------------------------------------------
 
 
-def suite_scaling(seed: int = 0, **_) -> SuiteReport:
+def suite_scaling(seed: int = 0) -> SuiteReport:
     """Odd-rank scaling law and invariance of the scaled-orbit invariant."""
     rng = random.Random(seed)
     places = [REAL, Qp(2), Qp(3), Qp(5), Qp(7)]
@@ -547,10 +564,10 @@ def suite_scaling(seed: int = 0, **_) -> SuiteReport:
 # -- criterion 9 -------------------------------------------------------------
 
 
-def suite_orbits(seed: int = 0, n=None, p=None, **_) -> SuiteReport:
+def suite_orbits(seed: int = 0, n=None, place=None) -> SuiteReport:
     """Exactly two congruence orbits per odd rank and det class over Q_p."""
     ns = (3, 5) if n is None else (int(n),)
-    primes = (3, 5, 7, 13) if p is None else (int(p),)
+    primes = _padic_primes(place, (3, 5, 7, 13))
     cases = []
     for prime in primes:
         pl = Qp(prime)
@@ -570,7 +587,7 @@ def suite_orbits(seed: int = 0, n=None, p=None, **_) -> SuiteReport:
 # -- criterion 10 ------------------------------------------------------------
 
 
-def suite_shintani(seed: int = 0, n=None, **_) -> SuiteReport:
+def suite_shintani(seed: int = 0, n=None) -> SuiteReport:
     """Row sums of the gamma matrix against the closed-form products."""
     ns = (1, 3, 5, 7) if n is None else (int(n),)
     svals = [Fraction(1, 3), Fraction(-7, 5), 0.37 + 0.24j]
@@ -601,9 +618,9 @@ def suite_shintani(seed: int = 0, n=None, **_) -> SuiteReport:
 # -- criterion 11 ------------------------------------------------------------
 
 
-def suite_tate(seed: int = 0, p=None, **_) -> SuiteReport:
+def suite_tate(seed: int = 0, place=None) -> SuiteReport:
     """Degree-one functional equation: p-adic, real, and the gamma matrix."""
-    primes = (3, 5) if p is None else (int(p),)
+    primes = _padic_primes(place, (3, 5))
     cases = []
     for prime in primes:
         pl = Qp(prime)
@@ -651,7 +668,7 @@ def suite_tate(seed: int = 0, p=None, **_) -> SuiteReport:
 # -- criterion 12 (non-gating) -----------------------------------------------
 
 
-def suite_sym3_mc(seed: int = 0, samples=None, **_) -> SuiteReport:
+def suite_sym3_mc(seed: int = 0, samples=None) -> SuiteReport:
     """Monte Carlo probe of the degree-three equation; a stretch check."""
     import cmath
 
@@ -732,5 +749,9 @@ SUITES = {
 def run_suite(name: str, seed: int = 0, **options) -> SuiteReport:
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
+    takes = inspect.signature(SUITES[name]).parameters
+    for option in options:
+        if option not in takes:
+            raise SuiteOptionError(f"--{option}: suite {name!r} does not take this option")
     return SUITES[name](seed=seed, **options)
 

@@ -48,6 +48,7 @@ from .places import (
     hilbert_symbol,
     pairing,
     parse_rational,
+    reduce_mod_prime_power,
     square_class,
     valuation,
 )
@@ -114,9 +115,7 @@ def _coset_key(center: Fraction, level: int, p: int) -> tuple[Fraction, int]:
         return Fraction(0), level
     j = max(0, -v)
     # center = M / p^j with M prime to p when j > 0; reduce M mod p^{level+j}.
-    scaled = center * Fraction(p) ** j
-    modulus = p ** (level + j)
-    m = scaled.numerator * pow(scaled.denominator, -1, modulus) % modulus
+    m = reduce_mod_prime_power(center * Fraction(p) ** j, p, level + j)
     return Fraction(m, p**j), level
 
 

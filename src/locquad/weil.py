@@ -28,10 +28,11 @@ Gauss sums of the coefficient as given,
 
     I_m = p^m * |2a|^(1/2) * p^(-K) * sum_{y mod p^K} psi(a y^2 / p^(2m)),
 
-K the exact conductor of the summand; I_m is independent of m once m is
+K the conductor of the summand; I_m is independent of m once m is
 large enough, and the limit is certified by three consecutive equal
-values.  Only the oracle and the ball-indicator sums enumerate terms,
-so they alone import `charsum` (and numpy).
+values.  Only the oracle and the ball-indicator sums enumerate terms:
+both pass rational coefficients to `charsum.padic_poly_sum`, which works
+out the conductor itself, and they alone import `charsum` (and numpy).
 """
 
 from __future__ import annotations
@@ -45,6 +46,11 @@ from .forms import QuadraticForm, witt_filtration_level
 from .places import AdditiveCharacter, Rational, class_bits, valuation
 
 EIGHTH_ROOTS = [cmath.exp(1j * cmath.pi * k / 4) for k in range(8)]
+
+# The Gauss-sum oracle certifies its limit by three consecutive levels
+# within _GAUSS_TOL of each other, and gives up past _GAUSS_MAX_LEVEL.
+_GAUSS_TOL = 1e-10
+_GAUSS_MAX_LEVEL = 6
 
 
 def nearest_eighth_root(z: complex) -> tuple[int, float]:
@@ -84,12 +90,7 @@ def polarized_det_abs_rsqrt(q: QuadraticForm) -> float:
     return float(q.place.p) ** (valuation(d, q.place.p) / 2)
 
 
-def gauss_gamma(
-    a: Rational,
-    psi: AdditiveCharacter,
-    tol: float = 1e-10,
-    max_level: int = 6,
-) -> WeilConstant:
+def gauss_gamma(a: Rational, psi: AdditiveCharacter) -> WeilConstant:
     """The oracle for gamma(a x^2, psi) at a p-adic place: the stabilized
     limit of exact Gauss sums of `a` as given, not of its class
     representative, so its cost grows with |v(a)| and with p."""
@@ -103,20 +104,18 @@ def gauss_gamma(
     p = psi.place.p
     scale = math.sqrt(float(p) ** (-valuation(2 * a, p)))  # |2a|^(1/2)
     values = []
-    for m in range(1, max_level + 3):
-        c = Fraction(psi.sign) * a / p ** (2 * m)
-        e = max(0, -valuation(c, p)) if c else 0
-        s, _ = padic_poly_sum([Fraction(0), Fraction(0), c], p, e)
+    for m in range(1, _GAUSS_MAX_LEVEL + 3):
+        s, _ = padic_poly_sum([Fraction(0), Fraction(0), Fraction(psi.sign) * a / p ** (2 * m)], p)
         values.append(p**m * scale * s)
         if (
             len(values) >= 3
-            and abs(values[-3] - values[-2]) < tol
-            and abs(values[-2] - values[-1]) < tol
+            and abs(values[-3] - values[-2]) < _GAUSS_TOL
+            and abs(values[-2] - values[-1]) < _GAUSS_TOL
         ):
             k, dev = nearest_eighth_root(values[-1])
             return WeilConstant(values[-1], k, dev, m - 2)
     raise ArithmeticError(
-        f"Gauss sums did not stabilize by level {max_level}: "
+        f"Gauss sums did not stabilize by level {_GAUSS_MAX_LEVEL}: "
         + ", ".join(f"I_{i+1}={v:.6f}" for i, v in enumerate(values))
     )
 
@@ -190,15 +189,6 @@ class WeilEquationReport:
         }
 
 
-def _coordinate_integral(coeffs: list[Fraction], p: int) -> complex:
-    """integral over Z_p of psi_+(f(z)) dz for rational f, exact."""
-    from .charsum import padic_poly_sum
-
-    e = max([0] + [-valuation(c, p) for c in coeffs if c])
-    value, _ = padic_poly_sum(coeffs, p, e)
-    return value
-
-
 def verify_weil_equation(
     q: QuadraticForm, ball: BallIndicator, psi: AdditiveCharacter
 ) -> WeilEquationReport:
@@ -215,6 +205,8 @@ def verify_weil_equation(
         raise ValueError("p-adic form and matching character required")
     if len(ball.center) != q.rank:
         raise ValueError("ball dimension must match the rank")
+    from .charsum import padic_poly_sum
+
     p = q.place.p
     k = ball.level
     sgn = Fraction(psi.sign)
@@ -223,7 +215,7 @@ def verify_weil_equation(
     for a, c in zip(q.coeffs, ball.center):
         # x = c + p^k z:  a x^2 = a c^2 + 2 a c p^k z + a p^2k z^2
         poly = [sgn * a * c * c, sgn * 2 * a * c * Fraction(p) ** k, sgn * a * Fraction(p) ** (2 * k)]
-        lhs *= Fraction(p) ** (-k) * _coordinate_integral(poly, p)
+        lhs *= Fraction(p) ** (-k) * padic_poly_sum(poly, p)[0]
 
     g = gamma_form(q, psi)
     rhs = g.value * polarized_det_abs_rsqrt(q)
@@ -234,7 +226,7 @@ def verify_weil_equation(
             sgn * c * Fraction(p) ** (-k),
             -sgn * Fraction(p) ** (-2 * k) / (4 * a),
         ]
-        rhs *= _coordinate_integral(poly, p)  # the p^-k and p^k volume factors cancel
+        rhs *= padic_poly_sum(poly, p)[0]  # the p^-k and p^k volume factors cancel
 
     return WeilEquationReport(lhs, rhs, abs(lhs - rhs), g)
 

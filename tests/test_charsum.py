@@ -137,13 +137,13 @@ def test_two_variable_sum_in_small_row_blocks(monkeypatch):
     whole = stationary.exact_oscillatory_integral(f, t).value
     monkeypatch.setattr(charsum, "_CHUNK", 60)  # 2 rows of 25 per block
     sizes = []
-    real_phase_sum = stationary.phase_sum
+    real_phase_sum = charsum.phase_sum
 
     def spy(nums, p, e):
         sizes.append(nums.size)
         return real_phase_sum(nums, p, e)
 
-    monkeypatch.setattr(stationary, "phase_sum", spy)
+    monkeypatch.setattr(charsum, "phase_sum", spy)
     blocked = stationary.exact_oscillatory_integral(f, t).value
     assert sizes == [50] * 12 + [25]
     want = 0j
@@ -173,11 +173,20 @@ def test_prime_power_gauss_sum_modulus(p, e):
 def test_padic_poly_sum_periodic_beyond_conductor():
     # the integral over Z_p does not depend on the period used, once K >= e
     coeffs = [Fraction(1, 3), Fraction(2, 9), Fraction(5, 27)]
-    first, e = padic_poly_sum(coeffs, 3, 3)
+    first, e = padic_poly_sum(coeffs, 3)
     assert e == 3
+    ints = [int(27 * c) for c in coeffs]  # the numerators over p^e = 27
     for K in (4, 5):
-        value, _ = padic_poly_sum(coeffs, 3, K)
+        value = poly_phase_sum(ints, 3, 3, 3**K) / 3**K
         assert abs(value - first) < 1e-12
+
+
+def test_padic_poly_sum_sums_its_own_full_period():
+    # e = 2 here: a sum over the 7 residues mod 7 alone would give
+    # 0.244+0.194j, not the integral over Z_7, which is the exact 1/7
+    value, e = padic_poly_sum([0, 0, Fraction(1, 49)], 7)
+    assert e == 2
+    assert abs(value - 1 / 7) < 1e-15
 
 
 def _fresh(code: str, *args: str, threads: str = "1") -> subprocess.CompletedProcess:

@@ -295,6 +295,39 @@ def test_verify_options_require_a_suite(capsys):
     assert "--suite" in err
 
 
+VERIFY_MISUSE = [
+    (["verify", "--suite", "scaling", "--place", "p:3"], "--place"),
+    (["verify", "--suite", "product-formula", "--n", "3"], "--n"),
+    (["verify", "--suite", "signprop", "--samples", "10"], "--samples"),
+    (["verify", "--suite", "sym3-mc", "--place", "p:3"], "--place"),
+    (["verify", "--suite", "tate", "--place", "real"], "p-adic"),
+    (["verify", "--suite", "orbits", "--place", "real"], "p-adic"),
+    (["verify", "--suite", "weil-equation", "--place", "real"], "p-adic"),
+    (["verify", "--suite", "stationary", "--place", "real"], "p-adic"),
+    (["verify", "--suite", "stationary", "--place", "p:3"], "p:13 only"),
+    # there is no --p: argparse reads it as an abbreviation of --place, which wants p:<prime>
+    (["verify", "--suite", "signprop", "--p", "5"], "--place"),
+]
+
+
+@pytest.mark.parametrize("argv,hint", VERIFY_MISUSE, ids=[" ".join(a) for a, _ in VERIFY_MISUSE])
+def test_verify_rejects_options_the_suite_cannot_take(argv, hint, capsys):
+    assert hint in usage_error(argv, capsys)
+
+
+@pytest.mark.parametrize(
+    "suite,prime",
+    [("orbits", 3), ("weil-equation", 5), ("stationary", 13), ("tate", 3)],
+)
+def test_verify_place_restricts_a_padic_suite(suite, prime, capsys):
+    rc, payload, _ = run_json(["verify", "--suite", suite, "--place", f"p:{prime}"], capsys)
+    assert rc == 0
+    cases = payload["suites"][0]["cases"]
+    padic = [c["name"] for c in cases if not c["name"].startswith("real")]
+    assert padic
+    assert all(f"p={prime} " in name or f"Q_{prime}," in name for name in padic)
+
+
 def test_verify_rerun_is_byte_identical(tmp_path, capsys):
     f1, f2 = tmp_path / "a.json", tmp_path / "b.json"
     argv = ["verify", "--suite", "product-formula", "--seed", "7"]

@@ -4,6 +4,8 @@ The footprint checks run in a fresh interpreter, since this test process
 has long since imported everything.
 """
 
+import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -12,9 +14,10 @@ from pathlib import Path
 
 import locquad
 import locquad.suites
-from locquad import cli
+from locquad import cli, symsign
 
 SRC = Path(locquad.__file__).resolve().parent.parent
+TRACING = SRC.parent / "perfbench" / "tracing.py"
 
 FOOTPRINT = """
 import contextlib, io, json, sys
@@ -112,3 +115,18 @@ def test_verify_jobs_do_not_change_the_report(monkeypatch, capsys):
 def test_rejected_enumerations_skip_numpy():
     mods = loaded_modules("sym-sign --place p:2 --n 7", "orbits --place p:2 --n 9")
     assert mods <= {"locquad", "locquad.cli", "locquad.forms", "locquad.places", "locquad.symsign"}
+
+
+def test_names_the_traced_benchmark_wraps_still_resolve():
+    # perfbench/tracing.py looks each wrapped name up by getattr, so a
+    # rename would break only the traced benchmark run; read it, never write
+    scope = {"__name__": "tracing"}
+    exec(compile(TRACING.read_text(), str(TRACING), "exec"), scope)
+    for module, attr, _, _ in scope["WRAPPED"]:
+        obj = importlib.import_module(f"locquad.{module}")
+        for part in attr.split("."):
+            obj = getattr(obj, part)
+    # its sl_orbit_count hook reads (n, det_class, place) from args[:3]
+    params = list(inspect.signature(symsign.sl_orbit_count).parameters.values())[:3]
+    assert [p.name for p in params] == ["n", "det_class", "place"]
+    assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params)
