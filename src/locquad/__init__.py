@@ -23,7 +23,6 @@ _EXPORTS = {
         "hilbert_symbol",
         "hilbert_symbol_oracle",
         "least_nonresidue",
-        "padic_abs",
         "parse_rational",
         "square_class",
         "square_class_reps",
@@ -37,11 +36,8 @@ _EXPORTS = {
         "equivalent",
         "form_of_matrix",
         "invariants",
-        "relative_hasse",
         "witt_class_invariants",
         "witt_filtration_level",
-        "witt_product",
-        "witt_sum",
     ),
     "weil": (
         "BallIndicator",

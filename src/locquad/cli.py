@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 import time
 from fractions import Fraction
@@ -111,6 +110,15 @@ def _load_form_json(path: str, parser: argparse.ArgumentParser) -> QuadraticForm
         parser.error(f"--in: {e}")
 
 
+def _form_arg(args, parser: argparse.ArgumentParser) -> QuadraticForm:
+    """The form of `--in`, or of `--place` with `--coeffs`."""
+    if args.infile:
+        return _load_form_json(args.infile, parser)
+    if args.place is None or args.coeffs is None:
+        parser.error("need --in, or both --place and --coeffs")
+    return QuadraticForm.make(args.coeffs, args.place)
+
+
 def _twist_class(text: str, place: Place, parser: argparse.ArgumentParser):
     """A square class given as a rational, or symbolically as 1 / u / p / up."""
     symbolic = {"1": 0, "u": 1, "p": 2, "up": 3}  # the class bits at an odd p
@@ -167,12 +175,7 @@ def _cmd_square_class(args, parser) -> tuple[dict, bool]:
 
 
 def _cmd_hasse(args, parser) -> tuple[dict, bool]:
-    if args.infile:
-        q = _load_form_json(args.infile, parser)
-    else:
-        if args.place is None or args.coeffs is None:
-            parser.error("need --in, or both --place and --coeffs")
-        q = QuadraticForm.make(args.coeffs, args.place)
+    q = _form_arg(args, parser)
     inv = invariants(q)
     return {
         "place": str(q.place),
@@ -198,12 +201,7 @@ def _cmd_equiv(args, parser) -> tuple[dict, bool]:
 def _cmd_gamma(args, parser) -> tuple[dict, bool]:
     from .weil import gamma_form
 
-    if args.infile:
-        q = _load_form_json(args.infile, parser)
-    else:
-        if args.place is None or args.coeffs is None:
-            parser.error("need --in, or both --place and --coeffs")
-        q = QuadraticForm.make(args.coeffs, args.place)
+    q = _form_arg(args, parser)
     psi = AdditiveCharacter(q.place, args.sign)
     g = gamma_form(q, psi)
     return {
@@ -345,27 +343,30 @@ def _cmd_tate(args, parser) -> tuple[dict, bool]:
     from .tate import MultiplicativeCharacter, real_gamma_matrix_check, real_tate_check, tate_check
 
     s = complex(args.s)
+    tol = args.tol
+    if tol is None:
+        tol = 1e-6 if args.place.is_real else 1e-9
     if args.place.is_real:
         if s.imag:
             parser.error("--s: the real-place check needs a real s in (-1, 0)")
         rep = real_tate_check(s.real, parity=args.parity)
         gm = real_gamma_matrix_check(s.real)
-        ok = rep.max_deviation < args.tol and gm.residual < args.tol
+        ok = rep.max_deviation < tol and gm.residual < tol
         return {
             "place": "real",
             "s": s.real,
             "parity": args.parity,
-            "tol": args.tol,
+            "tol": tol,
             "ratio_check": rep.as_dict(),
             "gamma_matrix_check": gm.as_dict(),
             "ok": ok,
         }, ok
     twist = _twist_class(args.twist, args.place, parser)
     chi = MultiplicativeCharacter.make(args.place, s, twist.rep)
-    rep = tate_check(chi, zero_tol=args.zero_tol)
-    ok = rep.max_deviation < args.tol
+    rep = tate_check(chi)
+    ok = rep.max_deviation < tol
     return {
-        "tol": args.tol,
+        "tol": tol,
         "ok": ok,
         **rep.as_dict(),
     }, ok
@@ -374,13 +375,8 @@ def _cmd_tate(args, parser) -> tuple[dict, bool]:
 def _cmd_sym3_mc(args, parser) -> tuple[dict, bool]:
     from .tate import padic_sym3_mc_check
 
-    samples = args.samples
-    if samples is None:
-        samples = int(os.environ.get("LOCQUAD_MC_SAMPLES", 10**6))
     try:
-        rep = padic_sym3_mc_check(
-            p=args.p, s=args.s, seed=args.seed, samples=samples, depth=args.depth
-        )
+        rep = padic_sym3_mc_check(p=args.p, s=args.s, seed=args.seed, samples=args.samples)
     except ValueError as e:
         parser.error(str(e))
     return rep.as_dict(), rep.within_3_sigma
@@ -412,14 +408,14 @@ def _cmd_verify(args, parser) -> tuple[dict, bool]:
             parser.error("--n/--place/--samples apply to a single --suite run")
         names = [n for n in SUITES if n != "sym3-mc"]  # gating suites only
 
-    jobs = args.jobs
-    if jobs is None:
-        jobs = int(os.environ.get("LOCQUAD_WORKERS", "1"))
+    if args.jobs < 1:
+        parser.error("--jobs: need at least 1 worker")
     items = [(name, args.seed, options) for name in names]
-    if jobs > 1 and len(items) > 1:
+    if args.jobs > 1 and len(items) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # the pool starts all its workers at once: no more than there are suites
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(items))) as pool:
             reports = list(pool.map(_run_one_suite, items))
     else:
         # options come with one --suite, so they are checked in this process
@@ -513,15 +509,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=_arg_s, required=True)
     p.add_argument("--twist", default="1", help="square class: a rational, or 1/u/p/up at odd p")
     p.add_argument("--parity", type=int, choices=(0, 1), default=0, help="real test family parity")
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--zero-tol", type=float, default=1e-13)
+    p.add_argument("--tol", type=float, default=None, help="default 1e-6 at R, 1e-9 at p")
 
     p = add("sym3-mc", "Monte Carlo probe of the degree-three equation", "_cmd_sym3_mc")
     p.add_argument("--p", type=int, default=3)
     p.add_argument("--s", type=_arg_s, default=0.5)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=None, help="default LOCQUAD_MC_SAMPLES or 10^6")
-    p.add_argument("--depth", type=int, default=10)
+    p.add_argument("--samples", type=int, default=10**6)
 
     p = add("verify", "run one named suite, or all gating suites", "_cmd_verify")
     p.add_argument("--suite", help=f"one of: {', '.join(SUITE_NAMES)}")
@@ -530,7 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--place", type=_arg_place)
     p.add_argument("--samples", type=int)
     p.add_argument("--out", help="also write the JSON report to this path")
-    p.add_argument("--jobs", type=int, default=None, help="suite workers; default LOCQUAD_WORKERS or 1")
+    p.add_argument("--jobs", type=int, default=1, help="suite workers, at most one per suite")
 
     return parser
 
@@ -545,8 +539,6 @@ def main(argv=None) -> int:
     t0 = time.perf_counter()
     parser = _parser()
     args = parser.parse_args(argv)
-    if getattr(args, "command", None) == "tate" and args.tol is None:
-        args.tol = 1e-6 if args.place.is_real else 1e-9
     # the parser stores each handler's name, looked up per call, so that a
     # handler rebound after the parser was built (by a wrapper or a test) is
     # the one that runs

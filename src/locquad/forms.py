@@ -130,12 +130,6 @@ def invariants(q: QuadraticForm) -> FormInvariants:
     return FormInvariants(q.rank, q.det_class().rep, q.hasse(), sig)
 
 
-def relative_hasse(q: QuadraticForm, r: QuadraticForm) -> int:
-    """hasse(q) * hasse(r); the relative invariant of the pair."""
-    q._check_place(r)
-    return q.hasse() * r.hasse()
-
-
 def equivalent(q: QuadraticForm, r: QuadraticForm) -> bool:
     """Equivalence over the completion.
 
@@ -276,14 +270,6 @@ def form_of_matrix(A: SymMatrix, place: Place) -> QuadraticForm:
 
 
 # --- Witt group operations, at the level of invariant data ---
-
-
-def witt_sum(q: QuadraticForm, r: QuadraticForm) -> QuadraticForm:
-    return q.direct_sum(r)
-
-
-def witt_product(q: QuadraticForm, r: QuadraticForm) -> QuadraticForm:
-    return q.tensor(r)
 
 
 def witt_filtration_level(q: QuadraticForm, r: QuadraticForm):

@@ -116,16 +116,6 @@ def valuation(x: Rational, p: int) -> int:
     return v
 
 
-def padic_abs(x: Rational, place: Place) -> Fraction:
-    """Normalized absolute value |x| at the place, exact for x rational."""
-    x = Fraction(x)
-    if x == 0:
-        return Fraction(0)
-    if place.is_real:
-        return abs(x)
-    return Fraction(1, place.p) ** valuation(x, place.p)
-
-
 def reduce_mod_prime_power(x: Fraction, p: int, e: int) -> int:
     """x mod p^e for a rational x integral at p (prime-to-p denominator
     is inverted mod p^e)."""

@@ -27,7 +27,6 @@ and for odd n the ratios are s-independent signs:
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache

@@ -294,18 +294,17 @@ def critical_points(f: PhasePolynomial, precision: int = 12) -> list[CriticalPoi
     return out
 
 
-def stationary_phase_prediction(
-    f: PhasePolynomial, t: Rational, psi: AdditiveCharacter | None = None
-) -> complex:
+def stationary_phase_prediction(f: PhasePolynomial, t: Rational) -> complex:
     """Predicted value of the oscillatory integral from critical points.
 
     Needs v(t) negative and even (t is a square times a unit of even
     valuation); each nondegenerate critical point contributes
-    psi(t f(x0)) |t|^(-n/2) gamma(q0) |det H(x0)|^(-1/2).
+    psi(t f(x0)) |t|^(-n/2) gamma(q0) |det H(x0)|^(-1/2), psi the standard
+    character psi_+ that the exact integral uses.
     """
     t = Fraction(t)
     p = f.place.p
-    psi = psi or AdditiveCharacter(f.place)
+    psi = AdditiveCharacter(f.place)
     v = valuation(t, p)
     if v >= 0 or v % 2:
         raise ValueError("need t of negative even valuation")
@@ -337,12 +336,7 @@ class StationaryComparison:
         return {"rows": list(self.rows), "agreement_from": self.agreement_from}
 
 
-def compare_stationary(
-    f: PhasePolynomial,
-    exponents: list[int],
-    psi: AdditiveCharacter | None = None,
-    tol: float = 1e-10,
-) -> StationaryComparison:
+def compare_stationary(f: PhasePolynomial, exponents: list[int], tol: float = 1e-10) -> StationaryComparison:
     """Exact integral vs stationary prediction at t = p^(-2m) for each m.
 
     Reports per-level rows and the least level from which all tested
@@ -354,7 +348,7 @@ def compare_stationary(
     for m in sorted(exponents):
         t = Fraction(1, p ** (2 * m))
         exact = exact_oscillatory_integral(f, t)
-        pred = stationary_phase_prediction(f, t, psi)
+        pred = stationary_phase_prediction(f, t)
         rows.append(
             {
                 "m": m,

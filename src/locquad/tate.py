@@ -30,7 +30,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -44,7 +44,6 @@ from .places import (
     class_bits,
     class_bits_array,
     class_count,
-    frac_part,
     hilbert_symbol,
     pairing,
     parse_rational,
@@ -215,16 +214,16 @@ class CosetFunction:
         vol = float(self.place.p) ** (-level)
         return sum(abs(w) ** 2 for _, _, w in fine.terms) * vol
 
-    def fourier(self, psi: AdditiveCharacter | None = None) -> "CosetFunction":
-        """Fourier transform against psi(xy), term by term.
+    def fourier(self) -> "CosetFunction":
+        """Fourier transform against psi(xy), psi the standard character,
+        term by term.
 
         F(1_{r + p^k Z})(y) = p^{-k} psi(r y) 1_{p^{-k} Z}(y); the modulated
         ball splits into the cosets of p^{-v(r)} Z on which psi(r .) is
         constant.
         """
         p = self.place.p
-        if psi is None:
-            psi = AdditiveCharacter(self.place)
+        psi = AdditiveCharacter(self.place)
         out: list[tuple[Fraction, int, complex]] = []
         for r, k, w in self.terms:
             base = w * Fraction(p) ** (-k)
@@ -350,37 +349,28 @@ def default_padic_test_set(place: Place) -> list[tuple[str, CosetFunction]]:
     ]
 
 
-def tate_check(
-    chi: MultiplicativeCharacter,
-    test_set: Sequence[tuple[str, CosetFunction]] | None = None,
-    psi: AdditiveCharacter | None = None,
-    zero_tol: float = 1e-13,
-) -> FunctionalEquationReport:
-    """Extract c(chi) = Z(F(phi), chi) / Z(phi, |.|^{-1} chi^{-1}) over a
-    family of test functions and report how far the ratios spread.
+def tate_check(chi: MultiplicativeCharacter) -> FunctionalEquationReport:
+    """Extract c(chi) = Z(F(phi), chi) / Z(phi, |.|^{-1} chi^{-1}) over the
+    default test functions and report how far the ratios spread.
 
     Requires -1 < Re(s) < 0 so both zeta integrals converge.  Functions
-    with a vanishing denominator (every radial one, when chi is ramified)
-    are excluded with a warning.
+    with a denominator of modulus at most 1e-13 (every radial one, when chi
+    is ramified) are excluded with a warning.
     """
     place = chi.place
     if place.is_real:
         raise ValueError("use real_tate_check over R")
     if not -1 < chi.s.real < 0:
         raise ValueError(f"Re(s) = {chi.s.real} outside the strip (-1, 0)")
-    if test_set is None:
-        test_set = default_padic_test_set(place)
-    if len(test_set) < 3:
-        raise ValueError("need at least 3 test functions")
     dual = chi.dual()
     return _ratio_report(
         place,
         chi.s,
         chi.twist.rep,
-        test_set,
-        lambda f: padic_zeta(f.fourier(psi), chi),
+        default_padic_test_set(place),
+        lambda f: padic_zeta(f.fourier(), chi),
         lambda f: padic_zeta(f, dual),
-        zero_tol,
+        zero_tol=1e-13,
     )
 
 
@@ -503,25 +493,19 @@ def default_real_test_set() -> list[tuple[str, HermiteGaussian]]:
     ]
 
 
-def real_tate_check(
-    s: complex,
-    test_set: Sequence[tuple[str, HermiteGaussian]] | None = None,
-    parity: int = 0,
-    zero_tol: float = 1e-9,
-) -> FunctionalEquationReport:
+def real_tate_check(s: complex, parity: int = 0) -> FunctionalEquationReport:
     """Ratio constancy of Z(F f, chi) / Z(f, |.|^{-1} chi^{-1}) over R
-    with chi = sgn^parity |.|^s.
+    with chi = sgn^parity |.|^s, on the default test functions.
 
     Odd test functions integrate to zero against an even character (and
-    even ones against sgn), so they drop out with a warning.
+    even ones against sgn), so they drop out with a warning: a denominator
+    of modulus at most 1e-9 counts as zero.
     """
     s = complex(s)
     if not -1 < s.real < 0:
         raise ValueError(f"Re(s) = {s.real} outside the strip (-1, 0)")
     if parity not in (0, 1):
         raise ValueError("parity must be 0 or 1")
-    if test_set is None:
-        test_set = default_real_test_set()
 
     def zeta(f, exponent) -> complex:
         pos = real_zeta(f, exponent, "pos")
@@ -533,10 +517,10 @@ def real_tate_check(
         REAL,
         s,
         twist,
-        test_set,
+        default_real_test_set(),
         lambda f: zeta(f.fourier(), s),
         lambda f: zeta(f, -1 - s),
-        zero_tol,
+        zero_tol=1e-9,
     )
 
 
@@ -556,28 +540,24 @@ class GammaMatrixReport:
         }
 
 
-def real_gamma_matrix_check(
-    s: complex,
-    test_set: Sequence[tuple[str, HermiteGaussian]] | None = None,
-) -> GammaMatrixReport:
+def real_gamma_matrix_check(s: complex) -> GammaMatrixReport:
     """Half-line refinement of the degree-one equation over R.
 
     With Phi_i(f, s) the integral of |x|^s f over the half-line of sign i,
     checks Phi_i(Ff, s) = c(s) * sum_j v_ij(s) Phi_j(f, -s-1) where v is
-    the 2x2 gamma matrix; c(s) is fitted by least squares across the whole
-    family and the residual is reported relative to the data size.
+    the 2x2 gamma matrix; c(s) is fitted by least squares across the
+    default test functions and the residual is reported relative to the
+    data size.
     """
     s = complex(s)
     if not -1 < s.real < 0:
         raise ValueError(f"Re(s) = {s.real} outside the strip (-1, 0)")
-    if test_set is None:
-        test_set = default_real_test_set()
     v = gamma_matrix(1, s)
     sides = ("neg", "pos")  # index i counts positive eigenvalues: V_0 = (-inf, 0)
     lhs_all = []
     pred_all = []
     rows = []
-    for label, f in test_set:
+    for label, f in default_real_test_set():
         fhat = f.fourier()
         lhs = [real_zeta(fhat, s, side) for side in sides]
         phi = [real_zeta(f, -1 - s, side) for side in sides]
@@ -691,6 +671,9 @@ class Sym3MCReport:
 # 593 MB with the 10^6 samples in one block.
 _MC_BLOCK_SAMPLES = 1 << 17
 
+# p-adic digits drawn per matrix entry, before the int64 clamp
+_MC_DEPTH = 10
+
 
 def default_sym3_cosets(p: int) -> list[Sym3Coset]:
     # both at level one: the ratio variance grows like p^{3 Re s + level}
@@ -706,8 +689,6 @@ def padic_sym3_mc_check(
     s: complex = 0.5,
     seed: int = 0,
     samples: int = 10**6,
-    cosets: Sequence[Sym3Coset] | None = None,
-    depth: int = 10,
 ) -> Sym3MCReport:
     """Monte Carlo probe of the degree-three functional equation.
 
@@ -720,7 +701,7 @@ def padic_sym3_mc_check(
 
     Each is estimated from the same seeded stream of uniform symmetric
     matrices with entries drawn modulo p^depth, and the ratio LHS/RHS must
-    agree across cosets.  Sampling truncates Z_p at depth digits, which
+    agree across the two default cosets.  Sampling truncates Z_p at depth digits, which
     biases only samples with v(det) near depth; their |det|^s weight is
     O(p^{-depth/2}), far below the Monte Carlo noise, and the bias note is
     carried in the report.  Error bars come from batch-mean bootstrap.
@@ -730,14 +711,12 @@ def padic_sym3_mc_check(
     s = complex(s)
     if not 0 < s.real < 1:
         raise ValueError(f"Re(s) = {s.real} outside (0, 1)")
-    if cosets is None:
-        cosets = default_sym3_cosets(p)
-    if len(cosets) != 2:
-        raise ValueError("the probe compares exactly two cosets")
+    cosets = default_sym3_cosets(p)
     notes = []
     max_level = max(c.level for c in cosets)
     # determinants of int64 entry matrices must stay below 2^63
     safe_depth = int(math.floor(math.log(((2**63 - 1) / 8) ** (1 / 3), p))) - max_level
+    depth = _MC_DEPTH
     if depth > safe_depth:
         notes.append(f"depth reduced from {depth} to {safe_depth} to keep int64 determinants exact")
         depth = safe_depth
@@ -837,14 +816,13 @@ def padic_sym3_mc_check(
     )
 
 
-def sym3_fourier_value(coset: Sym3Coset, y_matrix, p: int, psi: AdditiveCharacter | None = None) -> complex:
+def sym3_fourier_value(coset: Sym3Coset, y_matrix, p: int) -> complex:
     """Closed form of F(1_coset) at a rational symmetric argument.
 
     F(1_{X0 + p^L Sym})(Y) = p^{-6L} psi(Tr(X0 Y)) 1_{p^{-L} Sym}(Y) for
-    the pairing psi(Tr(XY)).
+    the pairing psi(Tr(XY)), psi the standard character.
     """
-    if psi is None:
-        psi = AdditiveCharacter(Place(p))
+    psi = AdditiveCharacter(Place(p))
     lvl = coset.level
     y = [[parse_rational(e) for e in row] for row in y_matrix]
     if any(y[i][j] != y[j][i] for i in range(3) for j in range(3)):

@@ -245,10 +245,9 @@ class GammaEpsilonReport:
         }
 
 
-def gamma_matches_epsilon(
-    q: QuadraticForm, r: QuadraticForm, psi: AdditiveCharacter, tol: float = 1e-6
-) -> GammaEpsilonReport:
-    """Check gamma(q) conj(gamma(r)) = relative Hasse-Witt invariant.
+def gamma_matches_epsilon(q: QuadraticForm, r: QuadraticForm, psi: AdditiveCharacter) -> GammaEpsilonReport:
+    """Check gamma(q) conj(gamma(r)) = relative Hasse-Witt invariant
+    within 1e-6.
 
     Requires the Witt-class difference to sit in the square of the
     fundamental ideal (filtration level >= 2); the comparison value is
@@ -261,4 +260,4 @@ def gamma_matches_epsilon(
             f"pair sits at filtration level {level}; the identity needs level >= 2"
         )
     ratio = gamma_form(q, psi).value * gamma_form(r, psi).value.conjugate()
-    return GammaEpsilonReport(ratio, w2, abs(ratio - w2) < tol)
+    return GammaEpsilonReport(ratio, w2, abs(ratio - w2) < 1e-6)

@@ -307,12 +307,48 @@ VERIFY_MISUSE = [
     (["verify", "--suite", "stationary", "--place", "p:3"], "p:13 only"),
     # there is no --p: argparse reads it as an abbreviation of --place, which wants p:<prime>
     (["verify", "--suite", "signprop", "--p", "5"], "--place"),
+    (["verify", "--jobs", "0"], "--jobs"),
+    (["verify", "--suite", "scaling", "--jobs", "-2"], "--jobs"),
 ]
 
 
 @pytest.mark.parametrize("argv,hint", VERIFY_MISUSE, ids=[" ".join(a) for a, _ in VERIFY_MISUSE])
 def test_verify_rejects_options_the_suite_cannot_take(argv, hint, capsys):
     assert hint in usage_error(argv, capsys)
+
+
+def test_verify_starts_no_more_workers_than_suites(monkeypatch, capsys):
+    # a process pool forks all of its max_workers at once; a stand-in pool
+    # records the count and maps in this process
+    import concurrent.futures
+
+    import locquad.suites
+
+    started = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    quick = ("product-formula", "scaling")
+    monkeypatch.setattr(locquad.suites, "SUITES", {k: locquad.suites.SUITES[k] for k in quick})
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    rc, payload, _ = run_json(["verify", "--jobs", "500"], capsys)
+    assert rc == 0
+    assert started == [2]
+    assert [s["suite"] for s in payload["suites"]] == list(quick)
+    rc, _, _ = run_json(["verify", "--jobs", "1"], capsys)
+    assert rc == 0
+    assert started == [2]  # one worker runs in this process
 
 
 @pytest.mark.parametrize(

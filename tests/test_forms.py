@@ -12,11 +12,8 @@ from locquad.forms import (
     equivalent,
     form_of_matrix,
     invariants,
-    relative_hasse,
     witt_class_invariants,
     witt_filtration_level,
-    witt_product,
-    witt_sum,
 )
 from locquad.places import REAL, Qp, hilbert_symbol, square_class, square_class_reps
 
@@ -130,20 +127,21 @@ def test_relative_hasse():
     place = Qp(3)
     q = QuadraticForm.make([1, 3], place)
     r = QuadraticForm.make([2, 6], place)
-    assert relative_hasse(q, r) == q.hasse() * r.hasse()
+    # the relative invariant of the pair; (2, 3)_3 = (2|3) = -1
+    assert q.hasse() * r.hasse() == hilbert_symbol(1, 3, place) * hilbert_symbol(2, 6, place) == -1
 
 
 def test_witt_sum_and_product_invariants():
     place = Qp(5)
     q = QuadraticForm.make([1, 10], place)
     r = QuadraticForm.make([2, 5], place)
-    s = witt_sum(q, r)
+    s = q.direct_sum(r)
     assert s.rank == 4
     assert square_class(s.det(), place) == square_class(q.det() * r.det(), place)
-    prod = witt_product(q, r)
+    prod = q.tensor(r)
     assert prod.rank == 4
     # tensor with <1, -1> is hyperbolic of twice the rank
-    h = witt_product(q, QuadraticForm.make([1, -1], place))
+    h = q.tensor(QuadraticForm.make([1, -1], place))
     assert equivalent(h, QuadraticForm.make([1, -1, 1, -1], place))
 
 

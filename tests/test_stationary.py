@@ -110,6 +110,23 @@ def test_model_agreement(src, p):
         assert row["abs_diff"] < 1e-10
 
 
+@pytest.mark.parametrize(
+    "src,p,exponents",
+    [("x^3 - 3*x + 1", 7, [1, 2]), ("x^2 + 2*x", 5, [1, 2, 3])],
+)
+def test_prediction_takes_the_sign_of_psi_of_the_exact_integral(src, p, exponents):
+    # non-real predictions: under psi_- the prediction is the complex
+    # conjugate, which misses the exact integral (by 0.07 and 2.1e-4 for the
+    # cubic), while the real predictions of test_model_agreement match both
+    f = PhasePolynomial.parse(src, Qp(p))
+    comp = compare_stationary(f, exponents, tol=1e-10)
+    assert comp.agreement_from == exponents[0]
+    for row in comp.rows:
+        exact, pred = complex(*row["exact"]), complex(*row["prediction"])
+        assert row["abs_diff"] < 1e-10
+        assert abs(exact - pred.conjugate()) > 1e-6
+
+
 def test_nonseparable_2d_against_grid():
     f = PhasePolynomial.parse("x^2 + x*y + 2*y^2 + x", Qp(5))
     t = Fraction(3, 25)

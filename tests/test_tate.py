@@ -23,7 +23,6 @@ from locquad.tate import (
     HermiteGaussian,
     MultiplicativeCharacter,
     Sym3Coset,
-    default_padic_test_set,
     default_real_test_set,
     padic_sym3_mc_check,
     padic_zeta,
@@ -304,10 +303,6 @@ def test_tate_twist_square_class_stability():
 def test_tate_strip_and_test_set_preconditions():
     with pytest.raises(ValueError):
         tate_check(MultiplicativeCharacter.make(Qp(3), 0.5))
-    chi = MultiplicativeCharacter.make(Qp(3), -0.5)
-    two = default_padic_test_set(Qp(3))[:2]
-    with pytest.raises(ValueError):
-        tate_check(chi, test_set=two)
 
 
 # -- real family --------------------------------------------------------------
@@ -431,8 +426,9 @@ def test_sym3_mc_blocks_do_not_change_the_report(monkeypatch, block):
 
 
 def test_sym3_mc_depth_guard_notes():
-    rep = padic_sym3_mc_check(p=7, s=0.5, seed=1, samples=5000, depth=30)
-    assert any("depth" in note for note in rep.notes)
+    # int64 determinants allow 6 digits per entry at p = 7, below the default 10
+    rep = padic_sym3_mc_check(p=7, s=0.5, seed=1, samples=5000)
+    assert any("depth reduced from 10 to 6" in note for note in rep.notes)
 
 
 # -- the exp-sinh rule against scipy's adaptive quadrature ---------------------
