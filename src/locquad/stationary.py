@@ -175,14 +175,6 @@ class PhaseIntegralResult:
     terms: int  # terms enumerated: p^(2e) on the grid, or one period per separable factor
     stabilized: bool  # always True: the sum is exactly periodic, see exact_oscillatory_integral
 
-    def as_dict(self) -> dict:
-        return {
-            "value": [self.value.real, self.value.imag],
-            "conductor": self.conductor,
-            "terms": self.terms,
-            "stabilized": self.stabilized,
-        }
-
 
 def _coeff_list(mon: dict) -> list:
     """The coefficients of a one-variable polynomial (in x or in y) by degree."""
@@ -226,14 +218,6 @@ class CriticalPoint:
     precision: int  # the point is certified mod p^precision
     hessian: tuple[tuple[int, ...], ...]
     hessian_form: QuadraticForm
-
-    def as_dict(self) -> dict:
-        return {
-            "point": list(self.point),
-            "precision": self.precision,
-            "hessian": [list(r) for r in self.hessian],
-            "hessian_form": [str(c) for c in self.hessian_form.coeffs],
-        }
 
 
 def _matvec_inv_mod(H: list[list[int]], g: list[int], M: int) -> list[int]:
@@ -332,9 +316,6 @@ class StationaryComparison:
     rows: tuple[dict, ...]
     agreement_from: int | None  # least m with agreement at all tested m' >= m
 
-    def as_dict(self) -> dict:
-        return {"rows": list(self.rows), "agreement_from": self.agreement_from}
-
 
 def compare_stationary(f: PhasePolynomial, exponents: list[int], tol: float = 1e-10) -> StationaryComparison:
     """Exact integral vs stationary prediction at t = p^(-2m) for each m.
@@ -353,8 +334,8 @@ def compare_stationary(f: PhasePolynomial, exponents: list[int], tol: float = 1e
             {
                 "m": m,
                 "abs_t": p ** (2 * m),
-                "exact": [exact.value.real, exact.value.imag],
-                "prediction": [pred.real, pred.imag],
+                "exact": exact.value,
+                "prediction": pred,
                 "abs_diff": abs(exact.value - pred),
                 "stabilized": exact.stabilized,
             }

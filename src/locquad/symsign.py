@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import reduce
 from operator import xor
 
-from .forms import QuadraticForm, SymMatrix, form_of_matrix, hasse_bit
+from .forms import QuadraticForm, hasse_bit
 from .places import (
     Place,
     Rational,
@@ -43,25 +43,12 @@ class EnumerationBudgetError(ValueError):
     """Raised before an enumeration that would exceed ENUMERATION_BUDGET."""
 
 
-def _as_diagonal_form(A, place: Place | None = None) -> QuadraticForm:
-    if isinstance(A, QuadraticForm):
-        return A
-    if isinstance(A, SymMatrix):
-        if place is None:
-            raise ValueError("a place is required with a raw matrix")
-        return form_of_matrix(A, place)
-    if place is None:
-        raise ValueError("a place is required with raw coefficients")
-    return QuadraticForm.make(list(A), place)
-
-
-def stabilizer_form(A, place: Place | None = None) -> QuadraticForm:
-    """The trace form on {X : XA + AX^T = 0}, as a diagonal form.
+def stabilizer_form(q: QuadraticForm) -> QuadraticForm:
+    """The trace form on {X : XA + AX^T = 0} for A = diag(q), as a diagonal form.
 
     Coefficients are -a_j/a_i over pairs i < j in lexicographic order;
     a 1x1 matrix yields the empty form.
     """
-    q = _as_diagonal_form(A, place)
     a = q.coeffs
     coeffs = tuple(
         -a[j] / a[i] for i in range(len(a)) for j in range(i + 1, len(a))
@@ -69,9 +56,8 @@ def stabilizer_form(A, place: Place | None = None) -> QuadraticForm:
     return QuadraticForm(q.place, coeffs)
 
 
-def epsilon_pair(A, B, place: Place | None = None) -> int:
+def epsilon_pair(qa: QuadraticForm, qb: QuadraticForm) -> int:
     """hasse(Q|h_A) * hasse(Q|h_B) for matrices with matching det class."""
-    qa, qb = _as_diagonal_form(A, place), _as_diagonal_form(B, place)
     if qa.place != qb.place:
         raise ValueError("matrices live at different places")
     if qa.rank != qb.rank:
@@ -89,13 +75,9 @@ class SignPropReport:
     rhs: int  # (hasse(q_A) * hasse(q_B))^n
     ok: bool
 
-    def as_dict(self) -> dict:
-        return {"lhs": self.lhs, "rhs": self.rhs, "ok": self.ok}
 
-
-def verify_signprop(A, B, place: Place | None = None) -> SignPropReport:
+def verify_signprop(qa: QuadraticForm, qb: QuadraticForm) -> SignPropReport:
     """Check the pairing law on one pair of matrices."""
-    qa, qb = _as_diagonal_form(A, place), _as_diagonal_form(B, place)
     lhs = epsilon_pair(qa, qb)
     rhs = (qa.hasse() * qb.hasse()) ** qa.rank
     return SignPropReport(lhs, rhs, lhs == rhs)
@@ -113,10 +95,9 @@ def _class_tuples(n: int, place: Place):
     return itertools.product(range(class_count(place)), repeat=n)
 
 
-def g_value(A, place: Place | None = None) -> int:
+def g_value(q: QuadraticForm) -> int:
     """g(A) = hasse(stabilizer form) * hasse(q_A)^n; the quantity the
     pairing law asserts is a function of the det class alone."""
-    q = _as_diagonal_form(A, place)
     return stabilizer_form(q).hasse() * q.hasse() ** q.rank
 
 
@@ -166,9 +147,8 @@ def c_constant_value(n: int, det_class: Rational, place: Place) -> int:
     return rep.values[key]
 
 
-def orbit_invariant(A, place: Place | None = None) -> dict:
+def orbit_invariant(q: QuadraticForm) -> dict:
     """Congruence-orbit invariants of an invertible symmetric matrix."""
-    q = _as_diagonal_form(A, place)
     inv = {
         "n": q.rank,
         "det_class": str(q.det_class()),
@@ -207,33 +187,22 @@ class ScalingReport:
     invariant_after: int
     ok: bool
 
-    def as_dict(self) -> dict:
-        return {
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "invariant_before": self.invariant_before,
-            "invariant_after": self.invariant_after,
-            "ok": self.ok,
-        }
 
-
-def scaling_invariant(A, place: Place | None = None) -> int:
+def scaling_invariant(q: QuadraticForm) -> int:
     """hasse(q_A) * (det A, -1)^((n-1)/2), for odd n; unchanged under
     A -> tA."""
-    q = _as_diagonal_form(A, place)
     if q.rank % 2 == 0:
         raise ValueError("defined for odd n")
     return q.hasse() * hilbert_symbol(q.det(), -1, q.place) ** ((q.rank - 1) // 2)
 
 
-def epsilon_scaling_check(A, t: Rational, place: Place | None = None) -> ScalingReport:
+def epsilon_scaling_check(q: QuadraticForm, t: Rational) -> ScalingReport:
     """Exact check of hasse(q_{tA}) = (t,-1)^(n(n-1)/2) hasse(q_A), n odd.
 
     For odd n the general scaling law loses its (t, det^(n-1)) factor
     because det^(n-1) is a square.  Also reports the derived scaled-orbit
     invariant before and after, which must agree.
     """
-    q = _as_diagonal_form(A, place)
     t = Fraction(t)
     if q.rank % 2 == 0:
         raise ValueError("the reduced scaling law needs odd n")

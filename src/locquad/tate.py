@@ -290,17 +290,6 @@ class FunctionalEquationReport:
     max_deviation: float
     warnings: tuple[str, ...] = ()
 
-    def as_dict(self) -> dict:
-        return {
-            "place": str(self.place),
-            "s": [self.s.real, self.s.imag],
-            "twist": str(self.twist),
-            "rows": list(self.rows),
-            "c_value": None if self.c_value is None else [self.c_value.real, self.c_value.imag],
-            "max_deviation": self.max_deviation,
-            "warnings": list(self.warnings),
-        }
-
 
 def _ratio_report(place, s, twist, labeled, zeta_num, zeta_den, zero_tol) -> FunctionalEquationReport:
     rows = []
@@ -311,15 +300,15 @@ def _ratio_report(place, s, twist, labeled, zeta_num, zeta_den, zero_tol) -> Fun
         den = zeta_den(f)
         row = {
             "phi": label,
-            "lhs": [num.real, num.imag],
-            "rhs_without_constant": [den.real, den.imag],
+            "lhs": num,
+            "rhs_without_constant": den,
         }
         if abs(den) <= zero_tol:
             row["ratio"] = None
             warnings.append(f"{label}: zero denominator, excluded from the ratio")
         else:
             ratio = num / den
-            row["ratio"] = [ratio.real, ratio.imag]
+            row["ratio"] = ratio
             ratios.append(ratio)
         rows.append(row)
     if not ratios:
@@ -531,14 +520,6 @@ class GammaMatrixReport:
     residual: float
     rows: tuple[dict, ...]
 
-    def as_dict(self) -> dict:
-        return {
-            "s": [self.s.real, self.s.imag],
-            "c_value": [self.c_value.real, self.c_value.imag],
-            "residual": self.residual,
-            "rows": list(self.rows),
-        }
-
 
 def real_gamma_matrix_check(s: complex) -> GammaMatrixReport:
     """Half-line refinement of the degree-one equation over R.
@@ -567,8 +548,8 @@ def real_gamma_matrix_check(s: complex) -> GammaMatrixReport:
         rows.append(
             {
                 "phi": label,
-                "lhs": [[z.real, z.imag] for z in lhs],
-                "prediction_without_constant": [[z.real, z.imag] for z in pred],
+                "lhs": lhs,
+                "prediction_without_constant": pred,
             }
         )
     denom = sum(abs(z) ** 2 for z in pred_all)
@@ -650,21 +631,6 @@ class Sym3MCReport:
     dropped: int
     notes: tuple[str, ...] = ()
 
-    def as_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "s": [self.s.real, self.s.imag],
-            "samples": self.samples,
-            "seed": self.seed,
-            "ratios": [[r.real, r.imag] for r in self.ratios],
-            "sigmas": list(self.sigmas),
-            "difference": self.difference,
-            "sigma_combined": self.sigma_combined,
-            "within_3_sigma": self.within_3_sigma,
-            "dropped": self.dropped,
-            "notes": list(self.notes),
-        }
-
 
 # Samples per block of the Monte Carlo probe.  Six default runs in one
 # process peaked at 116 MB resident with blocks of 2^17 samples, and at
@@ -704,10 +670,15 @@ def padic_sym3_mc_check(
     agree across the two default cosets.  Sampling truncates Z_p at depth digits, which
     biases only samples with v(det) near depth; their |det|^s weight is
     O(p^{-depth/2}), far below the Monte Carlo noise, and the bias note is
-    carried in the report.  Error bars come from batch-mean bootstrap.
+    carried in the report.  Error bars come from batch-mean bootstrap over
+    500 batches, so samples must be at least 500; it is rounded down to a
+    multiple of 500.
     """
     if p == 2:
         raise ValueError("the trace pairing is not self-dual at p = 2")
+    batches = 500
+    if samples < batches:
+        raise ValueError(f"samples: need at least {batches}, one per bootstrap batch; got {samples}")
     s = complex(s)
     if not 0 < s.real < 1:
         raise ValueError(f"Re(s) = {s.real} outside (0, 1)")
@@ -722,8 +693,7 @@ def padic_sym3_mc_check(
         depth = safe_depth
     streams = np.random.SeedSequence(seed).spawn(2 * len(cosets) + 1)
     rng_streams = [np.random.default_rng(ss) for ss in streams[:-1]]
-    batches = 500
-    batch = max(samples // batches, 1)
+    batch = samples // batches
     n = batch * batches
     logp = math.log(p)
     modulus = p**depth

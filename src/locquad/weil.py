@@ -66,14 +66,6 @@ class WeilConstant:
     root_deviation: float
     stabilized_at: int | None = None  # level of the Gauss-sum oracle; None in closed form
 
-    def as_dict(self) -> dict:
-        return {
-            "value": [self.value.real, self.value.imag],
-            "eighth_root_index": self.eighth_root_index,
-            "root_deviation": self.root_deviation,
-            "stabilized_at": self.stabilized_at,
-        }
-
 
 def polarized_det(q: QuadraticForm) -> Fraction:
     d = Fraction(1)
@@ -180,14 +172,6 @@ class WeilEquationReport:
     residual: float
     gamma: WeilConstant
 
-    def as_dict(self) -> dict:
-        return {
-            "lhs": [self.lhs.real, self.lhs.imag],
-            "rhs": [self.rhs.real, self.rhs.imag],
-            "residual": self.residual,
-            "gamma": self.gamma.as_dict(),
-        }
-
 
 def verify_weil_equation(
     q: QuadraticForm, ball: BallIndicator, psi: AdditiveCharacter
@@ -236,13 +220,6 @@ class GammaEpsilonReport:
     gamma_ratio: complex
     epsilon: int
     ok: bool
-
-    def as_dict(self) -> dict:
-        return {
-            "gamma_ratio": [self.gamma_ratio.real, self.gamma_ratio.imag],
-            "epsilon": self.epsilon,
-            "ok": self.ok,
-        }
 
 
 def gamma_matches_epsilon(q: QuadraticForm, r: QuadraticForm, psi: AdditiveCharacter) -> GammaEpsilonReport:

@@ -270,6 +270,18 @@ def test_sym3_mc_rejects_p2(capsys):
     assert "self-dual" in err
 
 
+@pytest.mark.parametrize("samples", ["0", "-7", "499"])
+def test_sym3_mc_rejects_fewer_samples_than_batches(samples, capsys):
+    err = usage_error(["sym3-mc", "--samples", samples], capsys)
+    assert "at least 500" in err
+
+
+def test_sym3_mc_runs_at_the_minimum_sample_count(capsys):
+    rc, payload, _ = run_json(["sym3-mc", "--samples", "500"], capsys)
+    assert rc in (0, 1)  # the 3-sigma verdict is a Monte Carlo outcome
+    assert payload["samples"] == 500
+
+
 # -- verify --------------------------------------------------------------------
 
 

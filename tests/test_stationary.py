@@ -122,7 +122,7 @@ def test_prediction_takes_the_sign_of_psi_of_the_exact_integral(src, p, exponent
     comp = compare_stationary(f, exponents, tol=1e-10)
     assert comp.agreement_from == exponents[0]
     for row in comp.rows:
-        exact, pred = complex(*row["exact"]), complex(*row["prediction"])
+        exact, pred = row["exact"], row["prediction"]
         assert row["abs_diff"] < 1e-10
         assert abs(exact - pred.conjugate()) > 1e-6
 

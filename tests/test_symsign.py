@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from locquad.forms import QuadraticForm, SymMatrix
+from locquad.forms import QuadraticForm, SymMatrix, form_of_matrix
 from locquad.places import REAL, Place, Qp, class_count, hilbert_symbol, square_class_reps
 from locquad.symsign import (
     ENUMERATION_BUDGET,
@@ -24,7 +24,7 @@ from locquad.symsign import (
 
 
 def test_stabilizer_form_coefficients():
-    q = stabilizer_form([1, 2, 5], Qp(5))
+    q = stabilizer_form(QuadraticForm.make([1, 2, 5], Qp(5)))
     # entries -a_j/a_i for i < j, lexicographic
     assert q.coeffs == (
         Fraction(-2, 1),
@@ -34,17 +34,15 @@ def test_stabilizer_form_coefficients():
 
 
 def test_stabilizer_form_rank():
-    q = stabilizer_form([1, 1, 1, 1, 1], Qp(3))
+    q = stabilizer_form(QuadraticForm.make([1, 1, 1, 1, 1], Qp(3)))
     assert q.rank == 10  # n(n-1)/2
 
 
 def test_epsilon_pair_by_hand():
     # diag(1,2,5) against diag(1,1,10) over Q_5
     place = Qp(5)
-    lhs = epsilon_pair([1, 2, 5], [1, 1, 10], place)
-    qa = stabilizer_form([1, 2, 5], place)
-    qb = stabilizer_form([1, 1, 10], place)
-    assert lhs == qa.hasse() * qb.hasse()
+    qa, qb = QuadraticForm.make([1, 2, 5], place), QuadraticForm.make([1, 1, 10], place)
+    assert epsilon_pair(qa, qb) == stabilizer_form(qa).hasse() * stabilizer_form(qb).hasse()
 
 
 def test_signprop_exhaustive_small():
@@ -52,29 +50,28 @@ def test_signprop_exhaustive_small():
     # pairs must share rank and det class, so bucket by class first
     place = Qp(5)
     reps = square_class_reps(place)
-    mats = [[a, b, c] for a in reps for b in reps for c in reps]
+    forms = [QuadraticForm.make([a, b, c], place) for a in reps for b in reps for c in reps]
     buckets = {}
-    for A in mats:
-        d = str(QuadraticForm.make(A, place).det_class())
-        buckets.setdefault(d, []).append(A)
+    for A in forms:
+        buckets.setdefault(str(A.det_class()), []).append(A)
     for group in buckets.values():
         for A in group[::5]:
             for B in group[::3]:
-                rep = verify_signprop(A, B, place)
+                rep = verify_signprop(A, B)
                 assert rep.ok
                 assert rep.lhs == rep.rhs
 
 
 def test_signprop_real():
-    rep = verify_signprop([1, -1, 1], [-1, 1, 1], REAL)
+    rep = verify_signprop(QuadraticForm.make([1, -1, 1], REAL), QuadraticForm.make([-1, 1, 1], REAL))
     assert rep.ok
 
 
 def test_epsilon_pair_needs_matching_det_class():
     with pytest.raises(ValueError):
-        epsilon_pair([1, 1, 1], [1, 1, 2], Qp(5))
+        epsilon_pair(QuadraticForm.make([1, 1, 1], Qp(5)), QuadraticForm.make([1, 1, 2], Qp(5)))
     with pytest.raises(ValueError):
-        epsilon_pair([1, 1, 1], [1, 1], Qp(5))
+        epsilon_pair(QuadraticForm.make([1, 1, 1], Qp(5)), QuadraticForm.make([1, 1], Qp(5)))
 
 
 def test_g_value_depends_on_det_class_only():
@@ -87,7 +84,7 @@ def test_g_value_depends_on_det_class_only():
         qa = QuadraticForm.make(a, place)
         qb = QuadraticForm.make(b, place)
         if qa.det_class() == qb.det_class():
-            assert g_value(a, place) == g_value(b, place)
+            assert g_value(qa) == g_value(qb)
 
 
 def test_c_constant_and_value():
@@ -101,11 +98,11 @@ def test_c_constant_and_value():
 
 
 def test_orbit_invariant_contents():
-    inv = orbit_invariant([2, 3, 6], Qp(3))
+    inv = orbit_invariant(QuadraticForm.make([2, 3, 6], Qp(3)))
     assert inv["n"] == 3
     assert inv["det_class"] == "1"  # 36 is a square
     assert inv["hasse"] in (1, -1)
-    real_inv = orbit_invariant([2, -3, 6], REAL)
+    real_inv = orbit_invariant(QuadraticForm.make([2, -3, 6], REAL))
     assert real_inv["signature"] == [2, 1]
 
 
@@ -131,35 +128,35 @@ def test_orbit_count_rejects_nonpositive_rank():
 def test_scaling_law_by_hand():
     # n = 3: hasse(q_{tA}) = (t,-1)^3 hasse(q_A)
     place = Qp(3)
-    A = [1, 2, 3]
+    q = QuadraticForm.make([1, 2, 3], place)
     t = Fraction(3)
-    rep = epsilon_scaling_check(A, t, place)
+    rep = epsilon_scaling_check(q, t)
     assert rep.ok
-    expected = hilbert_symbol(t, -1, place) ** 3 * QuadraticForm.make(A, place).hasse()
+    expected = hilbert_symbol(t, -1, place) ** 3 * q.hasse()
     assert rep.lhs == expected
 
 
 def test_scaling_invariant_stable():
     place = Qp(7)
     A = [2, 7, 5]
-    base = scaling_invariant(A, place)
+    base = scaling_invariant(QuadraticForm.make(A, place))
     for t in (Fraction(7), Fraction(-1), Fraction(10, 3)):
         scaled = [t * a for a in A]
-        assert scaling_invariant(scaled, place) == base
+        assert scaling_invariant(QuadraticForm.make(scaled, place)) == base
 
 
 def test_scaling_invariant_congruence_stable():
     place = Qp(5)
     A = SymMatrix.make([[1, 1, 0], [1, 3, 1], [0, 1, 2]])
     g = [[1, 0, 0], [2, 1, 0], [0, -1, 1]]
-    assert scaling_invariant(A, place) == scaling_invariant(A.congruent_by(g), place)
+    assert scaling_invariant(form_of_matrix(A, place)) == scaling_invariant(form_of_matrix(A.congruent_by(g), place))
 
 
 def test_scaling_needs_odd_rank():
     with pytest.raises(ValueError):
-        epsilon_scaling_check([1, 2], Fraction(3), Qp(3))
+        epsilon_scaling_check(QuadraticForm.make([1, 2], Qp(3)), Fraction(3))
     with pytest.raises(ValueError):
-        scaling_invariant([1, 2], Qp(3))
+        scaling_invariant(QuadraticForm.make([1, 2], Qp(3)))
 
 
 # c_constant values, matrices checked and sl_orbit_count per det class (in

@@ -406,12 +406,18 @@ def test_sym3_mc_preconditions():
         padic_sym3_mc_check(p=3, s=1.5, samples=1000)
 
 
+@pytest.mark.parametrize("samples", [0, -7, 499])
+def test_sym3_mc_rejects_fewer_samples_than_batches(samples):
+    with pytest.raises(ValueError, match="at least 500"):
+        padic_sym3_mc_check(p=3, samples=samples)
+
+
 def test_sym3_mc_deterministic():
     a = padic_sym3_mc_check(p=3, s=0.5, seed=9, samples=20000)
     b = padic_sym3_mc_check(p=3, s=0.5, seed=9, samples=20000)
     assert a.ratios == b.ratios
     assert a.sigmas == b.sigmas
-    assert a.as_dict() == b.as_dict()
+    assert a == b
 
 
 @pytest.mark.parametrize("block", [1000, 4096, 7000])
@@ -420,9 +426,9 @@ def test_sym3_mc_blocks_do_not_change_the_report(monkeypatch, block):
 
     kw = dict(p=5, s=0.3 + 0.4j, seed=4, samples=20000)
     monkeypatch.setattr(locquad.tate, "_MC_BLOCK_SAMPLES", 10**9)  # one block
-    whole = padic_sym3_mc_check(**kw).as_dict()
+    whole = padic_sym3_mc_check(**kw)
     monkeypatch.setattr(locquad.tate, "_MC_BLOCK_SAMPLES", block)
-    assert padic_sym3_mc_check(**kw).as_dict() == whole
+    assert padic_sym3_mc_check(**kw) == whole
 
 
 def test_sym3_mc_depth_guard_notes():
