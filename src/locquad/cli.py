@@ -225,7 +225,7 @@ def _cmd_gamma(args, parser) -> tuple[dict, bool]:
 
 
 def _cmd_weil_eq(args, parser) -> tuple[dict, bool]:
-    from .weil import BallIndicator, verify_weil_equation
+    from .weil import EQUATION_TOL, BallIndicator, verify_weil_equation
 
     if args.place.is_real:
         parser.error("--place: the ball-indicator check is p-adic; give p:<prime>")
@@ -236,20 +236,20 @@ def _cmd_weil_eq(args, parser) -> tuple[dict, bool]:
     ball = BallIndicator.make(center, args.level)
     psi = AdditiveCharacter(args.place, args.sign)
     rep = verify_weil_equation(q, ball, psi)
-    ok = rep.residual < args.tol
+    ok = rep.residual < EQUATION_TOL
     return {
         "place": args.place,
         "coeffs": q.coeffs,
         "center": center,
         "level": args.level,
-        "tol": args.tol,
+        "tol": EQUATION_TOL,
         "ok": ok,
         **_fields(rep),
     }, ok
 
 
 def _cmd_stationary(args, parser) -> tuple[dict, bool]:
-    from .stationary import PhasePolynomial, compare_stationary
+    from .stationary import PREDICTION_TOL, PhasePolynomial, compare_stationary
 
     if args.place.is_real:
         parser.error("--place: stationary comparison is p-adic; give p:<prime>")
@@ -257,12 +257,12 @@ def _cmd_stationary(args, parser) -> tuple[dict, bool]:
         f = PhasePolynomial.parse(args.phase, args.place)
     except (ValueError, SyntaxError) as e:
         parser.error(f"--f: {e}")
-    comp = compare_stationary(f, args.exponents, tol=args.tol)
-    ok = all(row["abs_diff"] < args.tol for row in comp.rows)
+    comp = compare_stationary(f, args.exponents)
+    ok = all(row["abs_diff"] < PREDICTION_TOL for row in comp.rows)
     return {
         "place": args.place,
         "f": args.phase,
-        "tol": args.tol,
+        "tol": PREDICTION_TOL,
         "ok": ok,
         **_fields(comp),
     }, ok
@@ -292,15 +292,12 @@ def _cmd_sym_sign(args, parser) -> tuple[dict, bool]:
         "place": args.place,
         "mode": "constant",
         "n": args.n,
-        "values": rep.values,
-        "classes_checked": rep.classes_checked,
-        "matrices_checked": rep.matrices_checked,
-        "ok": rep.consistent,
-    }, rep.consistent
+        **_fields(rep),
+    }, rep.ok
 
 
 def _cmd_orbits(args, parser) -> tuple[dict, bool]:
-    from .symsign import orbit_invariant, sl_orbit_count
+    from .symsign import expected_orbit_count, orbit_invariant, sl_orbit_count
 
     if args.infile:
         q = _load_form_json(args.infile, parser)
@@ -312,11 +309,9 @@ def _cmd_orbits(args, parser) -> tuple[dict, bool]:
         parser.error("need --in, or --place with --n")
     if args.place.is_real:
         parser.error("--place: orbit counting is p-adic; give p:<prime>")
-    counts = {
-        str(d): sl_orbit_count(args.n, d, args.place)
-        for d in square_class_reps(args.place)
-    }
-    ok = all(c == 2 for c in counts.values())
+    reps = square_class_reps(args.place)
+    counts = {str(d): sl_orbit_count(args.n, d, args.place) for d in reps}
+    ok = all(counts[str(d)] == expected_orbit_count(args.n, d, args.place) for d in reps)
     return {
         "place": args.place,
         "n": args.n,
@@ -326,7 +321,7 @@ def _cmd_orbits(args, parser) -> tuple[dict, bool]:
 
 
 def _cmd_shintani(args, parser) -> tuple[dict, bool]:
-    from .shintani import c_prime_vector, c_vector, check_sign_vectors, closed_form_error, gamma_matrix
+    from .shintani import CLOSED_FORM_TOL, c_prime_vector, c_vector, check_sign_vectors, closed_form_error, gamma_matrix
 
     n, s = args.n, args.s
     err = closed_form_error(n, s)
@@ -337,11 +332,11 @@ def _cmd_shintani(args, parser) -> tuple[dict, bool]:
         "c": c_vector(n, s),
         "c_prime": c_prime_vector(n, s),
         "closed_form_max_error": err,
-        "tol": args.tol,
+        "tol": CLOSED_FORM_TOL,
     }
-    ok = err < args.tol
+    ok = err < CLOSED_FORM_TOL
     if n % 2:
-        sv = check_sign_vectors(n, s, tol=args.tol)
+        sv = check_sign_vectors(n, s)
         payload["sign_vectors"] = sv
         ok = ok and sv.ok
     payload["ok"] = ok
@@ -349,23 +344,20 @@ def _cmd_shintani(args, parser) -> tuple[dict, bool]:
 
 
 def _cmd_tate(args, parser) -> tuple[dict, bool]:
-    from .tate import MultiplicativeCharacter, real_gamma_matrix_check, real_tate_check, tate_check
+    from .tate import PADIC_TOL, REAL_TOL, MultiplicativeCharacter, real_gamma_matrix_check, real_tate_check, tate_check
 
     s = complex(args.s)
-    tol = args.tol
-    if tol is None:
-        tol = 1e-6 if args.place.is_real else 1e-9
     if args.place.is_real:
         if s.imag:
             parser.error("--s: the real-place check needs a real s in (-1, 0)")
         rep = real_tate_check(s.real, parity=args.parity)
         gm = real_gamma_matrix_check(s.real)
-        ok = rep.max_deviation < tol and gm.residual < tol
+        ok = rep.max_deviation < REAL_TOL and gm.residual < REAL_TOL
         return {
             "place": "real",
             "s": s.real,
             "parity": args.parity,
-            "tol": tol,
+            "tol": REAL_TOL,
             "ratio_check": rep,
             "gamma_matrix_check": gm,
             "ok": ok,
@@ -373,9 +365,9 @@ def _cmd_tate(args, parser) -> tuple[dict, bool]:
     twist = _twist_class(args.twist, args.place, parser)
     chi = MultiplicativeCharacter.make(args.place, s, twist.rep)
     rep = tate_check(chi)
-    ok = rep.max_deviation < tol
+    ok = rep.max_deviation < PADIC_TOL
     return {
-        "tol": tol,
+        "tol": PADIC_TOL,
         "ok": ok,
         **_fields(rep),
     }, ok
@@ -489,13 +481,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--center", type=_arg_coeffs, help="ball center, comma separated (default 0)")
     p.add_argument("--level", type=int, default=0, help="ball is center + p^level Z_p^n")
     p.add_argument("--sign", type=int, choices=(1, -1), default=1)
-    p.add_argument("--tol", type=float, default=1e-9)
 
     p = add("stationary", "exact oscillatory integral vs critical-point prediction", "_cmd_stationary")
     p.add_argument("--place", type=_arg_place, required=True)
     p.add_argument("--f", dest="phase", required=True, help="phase polynomial, e.g. 'x^3 - 3*x'")
     p.add_argument("--exponents", type=_arg_ints, default=[1, 2, 3], help="|t| = p^(2m) for these m")
-    p.add_argument("--tol", type=float, default=1e-10)
 
     p = add("sym-sign", "pairing-sign law for symmetric matrices", "_cmd_sym_sign")
     p.add_argument("--place", type=_arg_place, required=True)
@@ -503,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--right", type=_arg_coeffs, help="diagonal of A'")
     p.add_argument("--n", type=int, help="constant mode: check g over all det classes")
 
-    p = add("orbits", "congruence orbit counts at fixed odd n", "_cmd_orbits")
+    p = add("orbits", "congruence orbit counts at fixed n", "_cmd_orbits")
     p.add_argument("--place", type=_arg_place)
     p.add_argument("--n", type=int, default=3)
     p.add_argument("--in", dest="infile", help="JSON form or matrix: report its orbit invariant")
@@ -511,14 +501,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("shintani", "gamma matrix row sums vs closed-form products", "_cmd_shintani")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--s", type=_arg_s, required=True)
-    p.add_argument("--tol", type=float, default=1e-10)
 
     p = add("tate", "degree-one functional equation at one character", "_cmd_tate")
     p.add_argument("--place", type=_arg_place, required=True)
     p.add_argument("--s", type=_arg_s, required=True)
     p.add_argument("--twist", default="1", help="square class: a rational, or 1/u/p/up at odd p")
     p.add_argument("--parity", type=int, choices=(0, 1), default=0, help="real test family parity")
-    p.add_argument("--tol", type=float, default=None, help="default 1e-6 at R, 1e-9 at p")
 
     p = add("sym3-mc", "Monte Carlo probe of the degree-three equation", "_cmd_sym3_mc")
     p.add_argument("--p", type=int, default=3)

@@ -105,8 +105,12 @@ def c_prime_vector(n: int, s) -> list[complex]:
     return [sum((-1) ** (n - i) * v[i][j] for i in range(n + 1)) for j in range(n + 1)]
 
 
+# Gate on closed_form_error and on the sign-vector error of
+# check_sign_vectors.
+CLOSED_FORM_TOL = 1e-10
+
 # The closed forms grow like 2^n cosh(pi Im(s) / 2)^n, so in double
-# precision their rounding error alone can pass an absolute 1e-10 gate
+# precision their rounding error alone can exceed CLOSED_FORM_TOL
 # (n = 7, s = -0.235-0.954j is off by 1.3e-10); 30 digits leave the
 # floating-point bucket sums as the only inexact side.
 _CLOSED_FORM_DPS = 30
@@ -169,7 +173,7 @@ class SignVectorReport:
     ok: bool
 
 
-def check_sign_vectors(n: int, s, tol: float = 1e-10) -> SignVectorReport:
+def check_sign_vectors(n: int, s) -> SignVectorReport:
     """For odd n, compare c_j/c_0 and c'_j/c'_0 against the predicted
     s-independent sign vectors.
 
@@ -192,4 +196,4 @@ def check_sign_vectors(n: int, s, tol: float = 1e-10) -> SignVectorReport:
         max(abs(r - e) for r, e in zip(ratios, exp)),
         max(abs(r - e) for r, e in zip(ratios_p, exp_p)),
     )
-    return SignVectorReport(n, ratios, ratios_p, exp, exp_p, err, err < tol)
+    return SignVectorReport(n, ratios, ratios_p, exp, exp_p, err, err < CLOSED_FORM_TOL)

@@ -39,6 +39,9 @@ from .weil import gamma_form
 
 Monomials = dict[tuple[int, ...], int]
 
+# Gate on |exact - prediction| at each tested level of compare_stationary.
+PREDICTION_TOL = 1e-10
+
 VAR_NAMES = ("x", "y")
 
 
@@ -317,12 +320,12 @@ class StationaryComparison:
     agreement_from: int | None  # least m with agreement at all tested m' >= m
 
 
-def compare_stationary(f: PhasePolynomial, exponents: list[int], tol: float = 1e-10) -> StationaryComparison:
+def compare_stationary(f: PhasePolynomial, exponents: list[int]) -> StationaryComparison:
     """Exact integral vs stationary prediction at t = p^(-2m) for each m.
 
     Reports per-level rows and the least level from which all tested
-    levels agree within tol (the model is asymptotic: it may fail at
-    small |t| and must hold for |t| large).
+    levels agree within PREDICTION_TOL (the model is asymptotic: it may
+    fail at small |t| and must hold for |t| large).
     """
     p = f.place.p
     rows = []
@@ -342,7 +345,7 @@ def compare_stationary(f: PhasePolynomial, exponents: list[int], tol: float = 1e
         )
     agree = None
     for row in reversed(rows):
-        if row["abs_diff"] < tol:
+        if row["abs_diff"] < PREDICTION_TOL:
             agree = row["m"]
         else:
             break

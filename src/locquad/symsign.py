@@ -104,7 +104,7 @@ def g_value(q: QuadraticForm) -> int:
 @dataclass(frozen=True)
 class CConstantReport:
     values: dict  # det-class representative -> g value
-    consistent: bool
+    ok: bool  # g is constant on each det class
     classes_checked: int
     matrices_checked: int
 
@@ -119,7 +119,7 @@ def c_constant(n: int, place: Place) -> CConstantReport:
     """
     minus_one = class_bits(-1, place)
     seen: dict = {}
-    consistent = True
+    ok = True
     count = 0
     for t in _class_tuples(n, place):
         stab = [minus_one ^ t[i] ^ t[j] for i in range(n) for j in range(i + 1, n)]
@@ -128,18 +128,18 @@ def c_constant(n: int, place: Place) -> CConstantReport:
         count += 1
         if key in seen:
             if seen[key] != g:
-                consistent = False
+                ok = False
         else:
             seen[key] = g
     values = {str(SquareClass.from_bits(k, place)): 1 - 2 * g for k, g in seen.items()}
-    return CConstantReport(values, consistent, len(values), count)
+    return CConstantReport(values, ok, len(values), count)
 
 
 def c_constant_value(n: int, det_class: Rational, place: Place) -> int:
     """The common value of g(A) on the given det class; errors if the
     exhaustive check finds an inconsistency."""
     rep = c_constant(n, place)
-    if not rep.consistent:
+    if not rep.ok:
         raise ArithmeticError("g(A) is not constant on det classes")
     key = str(square_class(det_class, place))
     if key not in rep.values:
@@ -177,6 +177,20 @@ def sl_orbit_count(n: int, det_class: Rational, place: Place) -> int:
     if not found:
         raise ValueError(f"no rank-{n} form has det class {target.rep}")
     return len(found)
+
+
+def expected_orbit_count(n: int, det_class: Rational, place: Place) -> int:
+    """The number of congruence orbits that sl_orbit_count must find over
+    Q_p, from the classification of forms by rank, det class and Hasse
+    invariant (Serre, A Course in Arithmetic, IV.2.3, Prop. 6): both Hasse
+    values occur from rank 3 on, one at rank 1, and at rank 2 one when
+    the det class is that of -1, both otherwise.
+    """
+    if place.is_real or n < 1:
+        raise ValueError("the orbit table covers rank n >= 1 over Q_p")
+    if n == 1 or (n == 2 and class_bits(det_class, place) == class_bits(-1, place)):
+        return 1
+    return 2
 
 
 @dataclass(frozen=True)

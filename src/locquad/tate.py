@@ -56,6 +56,12 @@ from .shintani import gamma_matrix
 _REFINE_BUDGET = 10**5
 _FOURIER_BUDGET = 10**5
 
+# Gates on the spread max_deviation of the functional-equation ratios: exact
+# coset sums over Q_p, and quadrature over R, where the residual of
+# real_gamma_matrix_check shares the gate.
+PADIC_TOL = 1e-9
+REAL_TOL = 1e-6
+
 
 # ---------------------------------------------------------------------------
 # multiplicative characters

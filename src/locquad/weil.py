@@ -52,6 +52,10 @@ EIGHTH_ROOTS = [cmath.exp(1j * cmath.pi * k / 4) for k in range(8)]
 _GAUSS_TOL = 1e-10
 _GAUSS_MAX_LEVEL = 6
 
+# Gate on the residual |LHS - RHS| of verify_weil_equation: both sides are
+# exact character sums, so only rounding separates them.
+EQUATION_TOL = 1e-9
+
 
 def nearest_eighth_root(z: complex) -> tuple[int, float]:
     """Index k in 0..7 with z closest to exp(i pi k / 4), plus distance."""

@@ -4,6 +4,7 @@ Everything runs in-process through main(argv); argparse failures surface
 as SystemExit(2) and are asserted that way.
 """
 
+import importlib
 import json
 
 import pytest
@@ -213,6 +214,23 @@ def test_orbits(capsys):
     assert set(payload["orbit_counts"].values()) == {2}
 
 
+# the class of -1, the one det class with a single rank-2 orbit
+MINUS_ONE_CLASS = {2: "-1", 3: "2", 5: "1", 7: "3"}
+
+
+@pytest.mark.parametrize("prime", sorted(MINUS_ONE_CLASS))
+@pytest.mark.parametrize("n", [1, 2])
+def test_orbits_at_low_rank_give_serres_counts(prime, n, capsys):
+    # Serre, A Course in Arithmetic, IV.2.3, Prop. 6
+    rc, payload, _ = run_json(["orbits", "--place", f"p:{prime}", "--n", str(n)], capsys)
+    assert rc == 0
+    assert payload["ok"] is True
+    counts = payload["orbit_counts"]
+    assert len(counts) == (8 if prime == 2 else 4)
+    one = set(counts) if n == 1 else {MINUS_ONE_CLASS[prime]}
+    assert counts == {d: 1 if d in one else 2 for d in counts}
+
+
 def test_orbits_from_file(tmp_path, capsys):
     path = tmp_path / "q.json"
     path.write_text(json.dumps({"place": "p:7", "coeffs": ["1", "2", "3"]}))
@@ -282,6 +300,33 @@ def test_sym3_mc_runs_at_the_minimum_sample_count(capsys):
     assert payload["samples"] == 500
 
 
+# -- fixed gates ---------------------------------------------------------------
+
+GATES = [
+    (["weil-eq", "--place", "p:3", "--coeffs", "1,3"], "weil", "EQUATION_TOL", 1e-9),
+    (["stationary", "--place", "p:7", "--f", "x^3 - 3*x", "--exponents", "1"], "stationary", "PREDICTION_TOL", 1e-10),
+    (["shintani", "--n", "3", "--s", "1/3"], "shintani", "CLOSED_FORM_TOL", 1e-10),
+    (["tate", "--place", "p:3", "--s", "-0.5"], "tate", "PADIC_TOL", 1e-9),
+    (["tate", "--place", "real", "--s", "-0.5"], "tate", "REAL_TOL", 1e-6),
+]
+GATE_IDS = [f"{argv[0]} {name}" for argv, _, name, _ in GATES]
+
+
+@pytest.mark.parametrize("argv,module,name,value", GATES, ids=GATE_IDS)
+def test_no_flag_moves_a_gate(argv, module, name, value, capsys):
+    err = usage_error(argv + ["--tol", "1"], capsys)
+    assert "unrecognized arguments: --tol" in err
+
+
+@pytest.mark.parametrize("argv,module,name,value", GATES, ids=GATE_IDS)
+def test_payload_tol_is_the_module_constant(argv, module, name, value, capsys):
+    constant = getattr(importlib.import_module(f"locquad.{module}"), name)
+    assert constant == value
+    rc, payload, _ = run_json(argv, capsys)
+    assert rc == 0
+    assert payload["tol"] == constant
+
+
 # -- verify --------------------------------------------------------------------
 
 
@@ -295,6 +340,19 @@ def test_verify_signprop_restricted(capsys):
     assert suite["suite"] == "signprop"
     assert suite["counts"]["failed"] == 0
     assert suite["counts"]["total"] > 0
+
+
+@pytest.mark.parametrize("n", ["1", "2"])
+def test_verify_orbits_at_low_rank(n, capsys):
+    rc, payload, _ = run_json(["verify", "--suite", "orbits", "--n", n], capsys)
+    assert rc == 0
+    assert payload["ok"] is True
+
+
+@pytest.mark.parametrize("samples", ["0", "499"])
+def test_verify_sym3_mc_rejects_fewer_samples_than_batches(samples, capsys):
+    err = usage_error(["verify", "--suite", "sym3-mc", "--samples", samples], capsys)
+    assert "at least 500" in err
 
 
 def test_verify_unknown_suite(capsys):

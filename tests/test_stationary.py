@@ -103,7 +103,7 @@ def test_prediction_needs_even_valuation():
 )
 def test_model_agreement(src, p):
     f = PhasePolynomial.parse(src, Qp(p))
-    comp = compare_stationary(f, [1, 2], tol=1e-10)
+    comp = compare_stationary(f, [1, 2])
     assert comp.agreement_from == 1
     for row in comp.rows:
         assert row["stabilized"]
@@ -119,7 +119,7 @@ def test_prediction_takes_the_sign_of_psi_of_the_exact_integral(src, p, exponent
     # conjugate, which misses the exact integral (by 0.07 and 2.1e-4 for the
     # cubic), while the real predictions of test_model_agreement match both
     f = PhasePolynomial.parse(src, Qp(p))
-    comp = compare_stationary(f, exponents, tol=1e-10)
+    comp = compare_stationary(f, exponents)
     assert comp.agreement_from == exponents[0]
     for row in comp.rows:
         exact, pred = row["exact"], row["prediction"]

@@ -14,6 +14,7 @@ from locquad.symsign import (
     c_constant_value,
     epsilon_pair,
     epsilon_scaling_check,
+    expected_orbit_count,
     g_value,
     orbit_invariant,
     scaling_invariant,
@@ -90,7 +91,7 @@ def test_g_value_depends_on_det_class_only():
 def test_c_constant_and_value():
     place = Qp(5)
     rep = c_constant(3, place)
-    assert rep.consistent
+    assert rep.ok
     assert rep.classes_checked == 4
     assert set(rep.values.values()) <= {1, -1}
     for d in square_class_reps(place):
@@ -123,6 +124,20 @@ def test_one_orbit_at_rank_one():
 def test_orbit_count_rejects_nonpositive_rank():
     with pytest.raises(ValueError):
         sl_orbit_count(0, 1, Qp(3))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_enumerated_orbits_match_the_classification(p, n):
+    place = Qp(p)
+    for d in square_class_reps(place):
+        assert sl_orbit_count(n, d, place) == expected_orbit_count(n, d, place)
+
+
+@pytest.mark.parametrize("n,place", [(0, Qp(3)), (3, REAL)])
+def test_orbit_table_covers_positive_rank_over_qp_only(n, place):
+    with pytest.raises(ValueError):
+        expected_orbit_count(n, 1, place)
 
 
 def test_scaling_law_by_hand():
@@ -199,7 +214,7 @@ def test_enumerations_pinned(place_text, n):
     place = Place.parse(place_text)
     values, matrices, orbits = PINNED[place_text, n]
     rep = c_constant(n, place)
-    assert rep.consistent
+    assert rep.ok
     assert list(rep.values.items()) == list(values.items())  # insertion order too
     assert (rep.classes_checked, rep.matrices_checked) == (len(values), matrices)
     assert [sl_orbit_count(n, d, place) for d in square_class_reps(place)] == orbits
