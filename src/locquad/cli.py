@@ -446,7 +446,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add(name, help_, handler):
         p = sub.add_parser(name, help=help_)
-        p.set_defaults(handler=handler)
+        # the handler reports usage errors through its own subparser, so
+        # they name the subcommand and list its options
+        p.set_defaults(handler=handler, subparser=p)
         return p
 
     p = add("hilbert", "Hilbert symbol (a,b) at a place", "_cmd_hilbert")
@@ -541,7 +543,7 @@ def main(argv=None) -> int:
     # the one that runs
     handler = globals()[args.handler]
     try:
-        payload, ok = handler(args, parser)
+        payload, ok = handler(args, args.subparser)
     except (ArithmeticError, ValueError) as e:
         _emit({"schema": SCHEMA, "error": str(e), "ok": False})
         print(f"wall {time.perf_counter() - t0:.3f}s", file=sys.stderr)

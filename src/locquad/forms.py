@@ -8,6 +8,7 @@ determinant up to squares and hence every invariant computed here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -201,16 +202,22 @@ class SymMatrix:
         return d
 
     def congruent_by(self, g: list[list]) -> "SymMatrix":
-        """g^T A g for an integer (or rational) matrix g."""
+        """g^T A g for an integer (or rational) matrix g.
+
+        A = A'/dA and g = g'/dg over common denominators, so the product is
+        the integer matrix g'^T A' g' divided once per entry by dA dg^2.
+        """
         n = self.n
         g = [[Fraction(e) for e in row] for row in g]
-        ag = [
-            [sum(self.entries[i][k] * g[k][j] for k in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
+        da = math.lcm(*(e.denominator for row in self.entries for e in row))
+        dg = math.lcm(*(e.denominator for row in g for e in row))
+        a = [[e.numerator * (da // e.denominator) for e in row] for row in self.entries]
+        g = [[e.numerator * (dg // e.denominator) for e in row] for row in g]
+        ag = [[sum(a[i][k] * g[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+        d = da * dg * dg
         return SymMatrix(
             tuple(
-                tuple(sum(g[k][i] * ag[k][j] for k in range(n)) for j in range(n))
+                tuple(Fraction(sum(g[k][i] * ag[k][j] for k in range(n)), d) for j in range(n))
                 for i in range(n)
             )
         )

@@ -284,13 +284,17 @@ def hilbert_symbol(a: Rational, b: Rational, place: Place) -> int:
 def hilbert_symbol_oracle(a: Rational, b: Rational, place: Place) -> int:
     """Hilbert symbol decided by an exhaustive lattice search.
 
-    Tests solvability of z^2 = a x^2 + b y^2 mod p^K in primitive triples,
-    K = 3 for odd p and K = 6 for p = 2.  Arguments are first replaced by
-    p^(v mod 2) times their unit part mod p^K, in the same square class and
-    of valuation 0 or 1; a primitive solution then forces x or y to be a
-    unit, and mod p^K solvability with a unit coordinate lifts by Hensel's
-    lemma, so the search is exact.  Independent of hilbert_symbol: neither
-    class bits nor a symbol formula is consulted.
+    Tests solvability of z^2 = a x^2 + b y^2 mod q = p^K in primitive
+    triples, K = 3 for odd p and K = 6 for p = 2.  Arguments are first
+    replaced by p^(v mod 2) times their unit part mod q, in the same square
+    class and of valuation 0 or 1.  A primitive solution has x or y a unit:
+    were both divisible by p, z^2 = a x^2 + b y^2 = 0 mod p would make z a
+    non-unit too.  Scaling by the inverse of that unit, a solution exists
+    exactly when a + b s or a s + b lies in S for some s in S, the set of
+    squares mod q; so one pass over S stands in for the q x q table of
+    pairs (x, y).  Mod q solvability with a unit coordinate lifts by
+    Hensel's lemma, so the search is exact.  Independent of hilbert_symbol:
+    neither class bits nor a symbol formula is consulted.
     """
     if place.is_real:
         a, b = Fraction(a), Fraction(b)
@@ -298,22 +302,12 @@ def hilbert_symbol_oracle(a: Rational, b: Rational, place: Place) -> int:
     p = place.p
     K = 6 if p == 2 else 3
     q = p**K
-    if q * q > 10**8:
+    if q > 10**6:
         raise ValueError(f"oracle lattice too large for p={p}")
     ra, rb = (p ** (valuation(x, p) % 2) * unit_part_mod(x, p, K) for x in (a, b))
-    # numpy is loaded here and in class_bits_array only, never on exact paths
-    import numpy as np
-
-    z = np.arange(q, dtype=np.int64)
-    is_square = np.zeros(q, dtype=bool)
-    is_square[(z * z) % q] = True
-    sq = (z * z) % q
-    ax2 = (ra % q) * sq % q
-    by2 = (rb % q) * sq % q
-    unit = z % p != 0
-    total = (ax2[:, None] + by2[None, :]) % q
-    primitive = unit[:, None] | unit[None, :]
-    return 1 if bool((is_square[total] & primitive).any()) else -1
+    squares = {z * z % q for z in range(q // 2 + 1)}  # z and q - z share a square
+    solvable = any((ra + rb * s) % q in squares or (ra * s + rb) % q in squares for s in squares)
+    return 1 if solvable else -1
 
 
 def frac_part(x: Rational, p: int) -> Fraction:

@@ -48,6 +48,8 @@ from .tate import (
 )
 from .weil import (
     EQUATION_TOL,
+    ROOT_TOL,
+    VALUE_TOL,
     BallIndicator,
     gamma_form,
     gamma_matches_epsilon,
@@ -317,8 +319,8 @@ def suite_weil_gamma(seed: int = 0, place=None) -> SuiteReport:
         cases.append(
             Case(
                 f"{pl}: hyperbolic padding",
-                worst < 1e-9,
-                "gamma(q + <a,-a>) = gamma(q) within 1e-9",
+                worst < VALUE_TOL,
+                f"gamma(q + <a,-a>) = gamma(q) within {_tol(VALUE_TOL)}",
                 _fmt(worst),
             )
         )
@@ -329,8 +331,8 @@ def suite_weil_gamma(seed: int = 0, place=None) -> SuiteReport:
         cases.append(
             Case(
                 f"{pl}: gamma(q + (-q)) = 1",
-                worst < 1e-9,
-                "within 1e-9 of 1",
+                worst < VALUE_TOL,
+                f"within {_tol(VALUE_TOL)} of 1",
                 _fmt(worst),
             )
         )
@@ -343,7 +345,7 @@ def suite_weil_gamma(seed: int = 0, place=None) -> SuiteReport:
             Case(
                 f"{pl}: gamma ratio = relative Hasse on 20 level-2 pairs",
                 bad == 0,
-                "all pairs match within 1e-6",
+                f"all pairs match within {_tol(ROOT_TOL)}",
                 f"{bad} mismatches",
             )
         )
@@ -379,8 +381,8 @@ def _gauss_oracle_cases(rng: random.Random, pl: Place, psi: AdditiveCharacter) -
     return [
         Case(
             f"{pl}: eighth-root property",
-            worst_root < 1e-6,
-            "distance to the nearest eighth root < 1e-6",
+            worst_root < ROOT_TOL,
+            f"distance to the nearest eighth root < {_tol(ROOT_TOL)}",
             _fmt(worst_root),
         ),
         Case(
@@ -391,8 +393,8 @@ def _gauss_oracle_cases(rng: random.Random, pl: Place, psi: AdditiveCharacter) -
         ),
         Case(
             f"{pl}: closed form = Gauss sum",
-            worst_closed < 1e-9,
-            f"closed-form Weil index within 1e-9 of the Gauss sum on {summed} sampled "
+            worst_closed < VALUE_TOL,
+            f"closed-form Weil index within {_tol(VALUE_TOL)} of the Gauss sum on {summed} sampled "
             f"coefficients and {len(reps)} classes under both signs of psi",
             _fmt(worst_closed),
         ),
@@ -419,8 +421,8 @@ def _weil_reciprocity_case(rng: random.Random, count: int = 40) -> Case:
         worst = max(worst, abs(prod - 1))
     return Case(
         f"global: prod_v gamma_v(q) = 1 on {count} rational forms of rank 1-3",
-        worst < 1e-9,
-        f"product over R, 2 and the primes of the coefficients (up to {big}) within 1e-9 of 1",
+        worst < VALUE_TOL,
+        f"product over R, 2 and the primes of the coefficients (up to {big}) within {_tol(VALUE_TOL)} of 1",
         _fmt(worst),
     )
 

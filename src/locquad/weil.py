@@ -56,6 +56,15 @@ _GAUSS_MAX_LEVEL = 6
 # exact character sums, so only rounding separates them.
 EQUATION_TOL = 1e-9
 
+# Gates of the weil-gamma comparisons.  ROOT_TOL bounds the distance of a
+# product of Weil constants from the root of unity it should equal: the
+# relative Hasse invariant in gamma_matches_epsilon, or the nearest eighth
+# root for a product of Gauss sums.  VALUE_TOL bounds |gamma - gamma'| for
+# two routes to one constant: hyperbolic padding, gamma(q + (-q)) = 1, the
+# closed form against the Gauss sum, and Weil reciprocity.
+ROOT_TOL = 1e-6
+VALUE_TOL = 1e-9
+
 
 def nearest_eighth_root(z: complex) -> tuple[int, float]:
     """Index k in 0..7 with z closest to exp(i pi k / 4), plus distance."""
@@ -228,7 +237,7 @@ class GammaEpsilonReport:
 
 def gamma_matches_epsilon(q: QuadraticForm, r: QuadraticForm, psi: AdditiveCharacter) -> GammaEpsilonReport:
     """Check gamma(q) conj(gamma(r)) = relative Hasse-Witt invariant
-    within 1e-6.
+    within ROOT_TOL.
 
     Requires the Witt-class difference to sit in the square of the
     fundamental ideal (filtration level >= 2); the comparison value is
@@ -241,4 +250,4 @@ def gamma_matches_epsilon(q: QuadraticForm, r: QuadraticForm, psi: AdditiveChara
             f"pair sits at filtration level {level}; the identity needs level >= 2"
         )
     ratio = gamma_form(q, psi).value * gamma_form(r, psi).value.conjugate()
-    return GammaEpsilonReport(ratio, w2, abs(ratio - w2) < 1e-6)
+    return GammaEpsilonReport(ratio, w2, abs(ratio - w2) < ROOT_TOL)

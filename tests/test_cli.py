@@ -300,6 +300,25 @@ def test_sym3_mc_runs_at_the_minimum_sample_count(capsys):
     assert payload["samples"] == 500
 
 
+# errors the handlers raise after parsing, each from its subcommand's parser
+HANDLER_MISUSE = [
+    ["weil-eq", "--place", "real", "--coeffs", "1"],
+    ["sym3-mc", "--samples", "0"],
+    ["verify", "--suite", "sym3-mc", "--samples", "0"],
+]
+
+
+@pytest.mark.parametrize("argv", HANDLER_MISUSE, ids=" ".join)
+def test_usage_errors_name_their_subcommand(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage: locquad {argv[0]} [-h]")
+    assert f"\nlocquad {argv[0]}: error: " in captured.err
+
+
 # -- fixed gates ---------------------------------------------------------------
 
 GATES = [

@@ -184,3 +184,35 @@ def test_symmatrix_validation():
         SymMatrix.make([[1, 2], [3, 1]])
     with pytest.raises(ValueError):
         SymMatrix.make([[1, 2, 3], [2, 1, 1]])
+
+
+def fraction_congruence(A: SymMatrix, g) -> list[list[Fraction]]:
+    """Reference: g^T A g by a triple loop in Fractions."""
+    n = A.n
+    g = [[Fraction(e) for e in row] for row in g]
+    ag = [[sum(A.entries[i][k] * g[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    return [[sum(g[k][i] * ag[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+
+
+def random_rational(rng: random.Random, num: int, den: int) -> Fraction:
+    return Fraction(rng.randint(-num, num), rng.randint(1, den))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_integer_congruence_equals_the_fraction_loop(n):
+    rng = random.Random(n)
+    for _ in range(20):
+        A = [[Fraction(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                A[i][j] = A[j][i] = random_rational(rng, 50, 30)
+        A = SymMatrix(A)
+        integral = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        rational = [[random_rational(rng, 20, 12) for _ in range(n)] for _ in range(n)]
+        for g in (integral, rational):
+            got = A.congruent_by(g)
+            assert [list(row) for row in got.entries] == fraction_congruence(A, g)
+            assert all(type(e) is Fraction for row in got.entries for e in row)
+    zero = SymMatrix([[0] * n for _ in range(n)])
+    g = [[random_rational(rng, 20, 12) for _ in range(n)] for _ in range(n)]
+    assert zero.congruent_by(g) == zero

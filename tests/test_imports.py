@@ -49,6 +49,7 @@ def test_import_loads_no_submodule():
 def test_exact_requests_skip_numpy_and_scipy():
     mods = loaded_modules(
         "hilbert --place p:7 --a -1 --b -1",
+        "hilbert --place p:13 --a 13 --b 2 --oracle",
         "square-class --place p:2 --x 12",
         "hasse --place p:5 --coeffs 2,5,-1",
         "equiv --place real --left 1,-2 --right 3,-1",

@@ -19,6 +19,7 @@ from locquad.places import (
     parse_rational,
     square_class,
     square_class_reps,
+    unit_part_mod,
     valuation,
 )
 
@@ -153,6 +154,58 @@ def test_oracle_spot_checks():
 def test_oracle_budget_guard():
     with pytest.raises(ValueError):
         hilbert_symbol_oracle(1, 1, Qp(101))
+
+
+def table_oracle(a, b, place) -> int:
+    """Reference: the oracle's question asked of the whole q x q table, every
+    pair (x, y) with x or y a unit, a x^2 + b y^2 looked up among the squares
+    mod q = p^K."""
+    import numpy as np
+
+    p = place.p
+    K = 6 if p == 2 else 3
+    q = p**K
+    ra, rb = (p ** (valuation(x, p) % 2) * unit_part_mod(x, p, K) for x in (a, b))
+    z = np.arange(q, dtype=np.int64)
+    sq = z * z % q
+    is_square = np.zeros(q, dtype=bool)
+    is_square[sq] = True
+    total = (ra * sq[:, None] + rb * sq[None, :]) % q
+    unit = z % p != 0
+    return 1 if bool((is_square[total] & (unit[:, None] | unit[None, :])).any()) else -1
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_oracle_equals_the_table_search(p):
+    place = Qp(p)
+    reps = square_class_reps(place)
+    for a in reps:
+        for b in reps:
+            assert hilbert_symbol_oracle(a, b, place) == table_oracle(a, b, place), (a, b)
+    rng = random.Random(p)
+    for _ in range(60):
+        a, b = (
+            Fraction(rng.choice([-1, 1]) * rng.randint(1, 10**6), rng.randint(1, 10**6)) * Fraction(p) ** rng.randint(-7, 7)
+            for _ in range(2)
+        )
+        assert hilbert_symbol_oracle(a, b, place) == table_oracle(a, b, place), (a, b)
+
+
+@pytest.mark.parametrize("p", [17, 19, 23, 29])
+def test_oracle_equals_the_symbol_beyond_the_suite(p):
+    place = Qp(p)
+    reps = square_class_reps(place)
+    for a in reps:
+        for b in reps:
+            assert hilbert_symbol_oracle(a, b, place) == hilbert_symbol(a, b, place), (a, b)
+
+
+def test_oracle_runs_near_its_budget():
+    # 97^3 = 912673 is the largest odd q under the 10^6 budget; a pair with
+    # symbol -1 makes the pass over the squares run to the end
+    place = Qp(97)
+    _, u, _, up = square_class_reps(place)
+    assert hilbert_symbol_oracle(u, up, place) == hilbert_symbol(u, up, place) == -1
 
 
 def test_square_class_reps_are_inequivalent():

@@ -253,6 +253,22 @@ def test_gamma_epsilon_seeded_pairs():
         found += 1
 
 
+def test_weil_gamma_gates_are_the_module_constants(monkeypatch):
+    import locquad.suites
+    import locquad.weil
+
+    assert (locquad.weil.ROOT_TOL, locquad.weil.VALUE_TOL) == (1e-6, 1e-9)
+    # moved constants move the case texts: no copy of a tolerance is left
+    monkeypatch.setattr(locquad.suites, "ROOT_TOL", 1e-3)
+    monkeypatch.setattr(locquad.suites, "VALUE_TOL", 1e-5)
+    report = locquad.suites.suite_weil_gamma(place=Qp(3))
+    expected = {c.name.removeprefix("p:3: "): c.expected for c in report.cases}
+    for name in ("eighth-root property", "gamma ratio = relative Hasse on 20 level-2 pairs"):
+        assert "within 1e-3" in expected[name] or "< 1e-3" in expected[name], name
+    for name in ("closed form = Gauss sum", "hyperbolic padding", "gamma(q + (-q)) = 1"):
+        assert "within 1e-5" in expected[name], name
+
+
 def test_real_gamma_against_fresnel_integrals():
     """A second route to gamma at R: FT(psi(a x^2))(0) = gamma |2a|^(-1/2),
     and x -> x/sqrt|a| turns the left side into |a|^(-1/2) times
