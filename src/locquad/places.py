@@ -189,11 +189,14 @@ def class_bits_array(x, place: Place):
         raise ValueError(f"the array encoder needs an odd p < 2^31 (its squares stay in int64), not {place}")
     unit = np.array(x, dtype=np.int64)  # a copy, divided down in place
     v = np.zeros(unit.shape, dtype=np.int64)
-    mask = (unit != 0) & (unit % p == 0)
-    while mask.any():
-        unit[mask] //= p
-        v[mask] += 1
-        mask = (unit != 0) & (unit % p == 0)
+    # p is divided out only where it still divides, through flat views of
+    # both arrays: the index set shrinks by about a factor p per pass
+    flat, vflat = unit.reshape(-1), v.reshape(-1)
+    idx = np.flatnonzero((flat != 0) & (flat % p == 0))
+    while idx.size:
+        flat[idx] //= p
+        vflat[idx] += 1
+        idx = idx[flat[idx] % p == 0]
     # Euler's criterion, u^((p-1)/2) mod p by square-and-multiply
     base, r, e = unit % p, np.ones_like(unit), (p - 1) // 2
     while e:

@@ -23,16 +23,17 @@ psi and a = p^v u, u a unit:
                  if p = 1 mod 4 and i if p = 3 mod 4;
     p = 2:       zeta_8^(s if u = 1 mod 4, else -s) * (2|u)^v.
 
-The independent oracle, `gauss_gamma`, is the stabilized limit of exact
-Gauss sums of the coefficient as given,
+The independent oracle, `gauss_gamma`, is a normalized exact Gauss sum
+of the coefficient as given,
 
-    I_m = p^m * |2a|^(1/2) * p^(-K) * sum_{y mod p^K} psi(a y^2 / p^(2m)),
+    I_m = p^m * |2a|^(1/2) * integral_{Z_p} psi(a x^2 / p^(2m)) dx,
 
-K the conductor of the summand; I_m is independent of m once m is
-large enough, and the limit is certified by three consecutive equal
-values.  Only the oracle and the ball-indicator sums enumerate terms:
-both pass rational coefficients to `charsum.padic_poly_sum`, which works
-out the conductor itself, and they alone import `charsum` (and numpy).
+which is exact, not a limit, from a level m0 that v(a) fixes (see
+`gauss_levels`); the oracle sums that level and the next and certifies
+the value by their agreement.  Only the oracle and the ball-indicator
+sums enumerate terms: both pass rational coefficients to
+`charsum.padic_poly_sum`, which works out the conductor itself, and
+they alone import `charsum` (and numpy).
 """
 
 from __future__ import annotations
@@ -47,11 +48,6 @@ from .places import AdditiveCharacter, Rational, class_bits, valuation
 
 EIGHTH_ROOTS = [cmath.exp(1j * cmath.pi * k / 4) for k in range(8)]
 
-# The Gauss-sum oracle certifies its limit by three consecutive levels
-# within _GAUSS_TOL of each other, and gives up past _GAUSS_MAX_LEVEL.
-_GAUSS_TOL = 1e-10
-_GAUSS_MAX_LEVEL = 6
-
 # Gate on the residual |LHS - RHS| of verify_weil_equation: both sides are
 # exact character sums, so only rounding separates them.
 EQUATION_TOL = 1e-9
@@ -61,7 +57,8 @@ EQUATION_TOL = 1e-9
 # relative Hasse invariant in gamma_matches_epsilon, or the nearest eighth
 # root for a product of Gauss sums.  VALUE_TOL bounds |gamma - gamma'| for
 # two routes to one constant: hyperbolic padding, gamma(q + (-q)) = 1, the
-# closed form against the Gauss sum, and Weil reciprocity.
+# closed form against the Gauss sum, the Gauss sum at its exact level
+# against the next level, and Weil reciprocity.
 ROOT_TOL = 1e-6
 VALUE_TOL = 1e-9
 
@@ -77,7 +74,7 @@ class WeilConstant:
     value: complex
     eighth_root_index: int
     root_deviation: float
-    stabilized_at: int | None = None  # level of the Gauss-sum oracle; None in closed form
+    stabilized_at: int | None = None  # exact level m0 of the Gauss-sum oracle; None in closed form
 
 
 def polarized_det(q: QuadraticForm) -> Fraction:
@@ -95,10 +92,28 @@ def polarized_det_abs_rsqrt(q: QuadraticForm) -> float:
     return float(q.place.p) ** (valuation(d, q.place.p) / 2)
 
 
-def gauss_gamma(a: Rational, psi: AdditiveCharacter) -> WeilConstant:
-    """The oracle for gamma(a x^2, psi) at a p-adic place: the stabilized
-    limit of exact Gauss sums of `a` as given, not of its class
-    representative, so its cost grows with |v(a)| and with p."""
+def gauss_levels(a: Rational, psi: AdditiveCharacter) -> tuple[int, complex, complex]:
+    """(m0, I_m0, I_(m0+1)): the least level at which the normalized Gauss
+    sum of `a` is exact, and the sums at that level and the next.
+
+    Write t = s a / p^(2m) = u p^(-k) with s the sign of psi, u a unit and
+    k = 2m - v(a).  For k <= 0 the integral of psi(t x^2) over Z_p is 1;
+    for k >= 1 it is p^(-k) G(u, p^k), with G(u, p^k) the sum of
+    psi(u x^2 / p^k) over x mod p^k.  At odd p, |G(u, p^k)| = p^(k/2) for
+    k >= 1, and G(u, p^(k+2)) = p G(u, p^k), so its phase depends only on
+    u and the parity of k.  At p = 2, |G(u, 2^k)| = 2^((k+1)/2) for k >= 2,
+    G(u, 2^(k+2)) = 2 G(u, 2^k), and G(u, 2) = 0.  Multiplying by
+    p^m |2a|^(1/2) = |2|^(1/2) p^(k/2) gives a value of modulus 1 that is
+    the same for every m once k >= 0 at odd p (k = 0 reads G(u, 1) = 1)
+    or k >= 2 at p = 2.  One level below, k drops by 2 and the value is
+    |2|^(1/2) p^(k/2) or 0: modulus p^(-1) or p^(-1/2) at odd p, and
+    2^(-1/2) or 0 at p = 2.  So the least exact level is
+
+        m0 = max(1, ceil(v(a) / 2))        at odd p,
+        m0 = max(1, ceil((v(a) + 2) / 2))  at p = 2,
+
+    and the sums cost p^(2 m0 - v(a)) and p^2 times that many terms.
+    """
     from .charsum import padic_poly_sum
 
     a = Fraction(a)
@@ -107,22 +122,31 @@ def gauss_gamma(a: Rational, psi: AdditiveCharacter) -> WeilConstant:
     if psi.place.is_real:
         raise ValueError("the Gauss-sum oracle is p-adic")
     p = psi.place.p
+    v = valuation(a, p)
+    m0 = max(1, -(-(v + (2 if p == 2 else 0)) // 2))
     scale = math.sqrt(float(p) ** (-valuation(2 * a, p)))  # |2a|^(1/2)
-    values = []
-    for m in range(1, _GAUSS_MAX_LEVEL + 3):
+
+    def level(m: int) -> complex:
         s, _ = padic_poly_sum([Fraction(0), Fraction(0), Fraction(psi.sign) * a / p ** (2 * m)], p)
-        values.append(p**m * scale * s)
-        if (
-            len(values) >= 3
-            and abs(values[-3] - values[-2]) < _GAUSS_TOL
-            and abs(values[-2] - values[-1]) < _GAUSS_TOL
-        ):
-            k, dev = nearest_eighth_root(values[-1])
-            return WeilConstant(values[-1], k, dev, m - 2)
-    raise ArithmeticError(
-        f"Gauss sums did not stabilize by level {_GAUSS_MAX_LEVEL}: "
-        + ", ".join(f"I_{i+1}={v:.6f}" for i, v in enumerate(values))
-    )
+        return p**m * scale * s
+
+    return m0, level(m0), level(m0 + 1)
+
+
+def gauss_gamma(a: Rational, psi: AdditiveCharacter) -> WeilConstant:
+    """The oracle for gamma(a x^2, psi) at a p-adic place: the Gauss sum
+    of `a` as given, not of its class representative, at its exact level
+    m0 (see `gauss_levels`), so its cost grows with |v(a)| and with p.
+
+    The value is certified by the next level: raises ArithmeticError when
+    I_m0 and I_(m0+1) differ by VALUE_TOL or more."""
+    m0, value, check = gauss_levels(a, psi)
+    if abs(value - check) >= VALUE_TOL:
+        raise ArithmeticError(
+            f"Gauss sums at the exact level and the next disagree: I_{m0}={value:.6f}, I_{m0 + 1}={check:.6f}"
+        )
+    k, dev = nearest_eighth_root(value)
+    return WeilConstant(value, k, dev, m0)
 
 
 def _weil_index(a: Fraction, psi: AdditiveCharacter) -> int:

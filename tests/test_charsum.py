@@ -211,13 +211,15 @@ def test_reports_do_not_depend_on_blas_threads(suite):
 
 
 def test_deepest_gauss_sum_stays_small_in_memory():
-    # VmHWM is the peak of the child's own image; its ru_maxrss would also
-    # carry the peak of this test process, which it inherits across exec
+    # v(a) = -4 puts the oracle's second level at 7^8 terms, the deepest
+    # sum under the budget at p:7.  VmHWM is the peak of the child's own
+    # image; its ru_maxrss would also carry the peak of this test process,
+    # which it inherits across exec
     code = (
         "from fractions import Fraction\n"
         "from locquad.places import AdditiveCharacter, Qp\n"
         "from locquad.weil import gauss_gamma\n"
-        "gauss_gamma(Fraction(3, 49), AdditiveCharacter(Qp(7)))\n"
+        "gauss_gamma(Fraction(3, 7**4), AdditiveCharacter(Qp(7)))\n"
         "print(next(l for l in open('/proc/self/status') if l.startswith('VmHWM')))\n"
     )
     proc = _fresh(code)

@@ -1,13 +1,15 @@
 """Weil constants and the functional equation on ball indicators.
 
 `gamma_rank1` and `gamma_form` answer from the closed-form Weil index of
-the square class; the stabilized Gauss sum `gauss_gamma` is the oracle
-they are checked against, class by class.  The other tests check the
-structure gamma must satisfy (root of unity, Witt homomorphism, the
-Hilbert-symbol cocycle, global reciprocity, the equation itself).
+the square class; the Gauss sum at its exact level, `gauss_gamma`, is
+the oracle they are checked against, class by class.  The other tests
+check the structure gamma must satisfy (root of unity, Witt
+homomorphism, the Hilbert-symbol cocycle, global reciprocity, the
+equation itself).
 """
 
 import cmath
+import math
 import random
 from fractions import Fraction
 
@@ -15,9 +17,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from locquad.charsum import TERM_BUDGET, BudgetError, padic_poly_sum
 from locquad.forms import QuadraticForm
-from locquad.places import REAL, AdditiveCharacter, Qp, hilbert_symbol, square_class_reps
+from locquad.places import REAL, AdditiveCharacter, Qp, hilbert_symbol, square_class_reps, valuation
 from locquad.weil import (
+    VALUE_TOL,
     BallIndicator,
     gamma_form,
     gamma_matches_epsilon,
@@ -108,20 +112,94 @@ def test_hyperbolic_padding_fixes_gamma():
     assert abs(gamma_form(q, psi).value - gamma_form(padded, psi).value) < 1e-9
 
 
+def _exact_level(a, p) -> int:
+    """m0 from the docstring of `gauss_levels`, written out again."""
+    v = valuation(a, p)
+    return max(1, math.ceil((v + 2) / 2) if p == 2 else math.ceil(v / 2))
+
+
+def _gauss_level(a, psi, m) -> complex:
+    """I_m = p^m |2a|^(1/2) integral_{Z_p} psi(a x^2 / p^(2m)), summed directly."""
+    p = psi.place.p
+    s, _ = padic_poly_sum([0, 0, Fraction(psi.sign) * a / Fraction(p) ** (2 * m)], p)
+    return p**m * p ** (-valuation(2 * a, p) / 2) * s
+
+
+def _class_multiples(p):
+    """Every class representative times p^k, k = -3..4, and times a unit square."""
+    unit_square = 4 if p != 2 else 9
+    for a in square_class_reps(Qp(p)):
+        yield a * unit_square
+        for k in range(-3, 5):
+            yield a * Fraction(p) ** k
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
 @pytest.mark.parametrize("sign", [1, -1])
 def test_closed_form_equals_gauss_sum_on_every_class(p, sign):
     place = Qp(p)
     psi = AdditiveCharacter(place, sign)
-    unit_square = 4 if p != 2 else 9
-    for a in square_class_reps(place):
-        for scale in (1, Fraction(p) ** 2, unit_square):
-            oracle = gauss_gamma(a * scale, psi)
-            closed = gamma_rank1(a * scale, psi)
-            assert oracle.root_deviation < 1e-9
-            assert closed.eighth_root_index == oracle.eighth_root_index, (a, scale)
-            assert abs(closed.value - oracle.value) < 1e-9
-            assert closed.root_deviation == 0.0 and closed.stabilized_at is None
+    for a in _class_multiples(p):
+        m0 = _exact_level(a, p)
+        if p ** (2 * m0 + 2 - valuation(a, p)) > TERM_BUDGET:
+            # the confirming level is over budget: a typed refusal, not a hang
+            with pytest.raises(BudgetError):
+                gauss_gamma(a, psi)
+            continue
+        oracle = gauss_gamma(a, psi)
+        closed = gamma_rank1(a, psi)
+        assert oracle.stabilized_at == m0, a
+        assert oracle.root_deviation < 1e-9
+        assert closed.eighth_root_index == oracle.eighth_root_index, a
+        assert abs(closed.value - oracle.value) < VALUE_TOL
+        assert closed.root_deviation == 0.0 and closed.stabilized_at is None
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_the_level_below_m0_misses(p, sign):
+    """m0 is the least exact level: one level lower the sum has modulus
+    p^(-1/2), p^(-1), 2^(-1/2) or 0, never that of gamma."""
+    psi = AdditiveCharacter(Qp(p), sign)
+    lower = 0
+    for a in _class_multiples(p):
+        m0 = _exact_level(a, p)
+        if m0 > 1:
+            lower += 1
+            assert abs(_gauss_level(a, psi, m0 - 1) - gamma_rank1(a, psi).value) > 1e-3, a
+    assert lower > 0
+
+
+def test_the_oracle_sums_two_levels(monkeypatch):
+    import locquad.charsum
+
+    calls = []
+    summed = locquad.charsum.padic_poly_sum
+
+    def counted(coeffs, p):
+        calls.append(p)
+        return summed(coeffs, p)
+
+    monkeypatch.setattr(locquad.charsum, "padic_poly_sum", counted)
+    for p, a in ((2, Fraction(3, 8)), (3, Fraction(5)), (7, Fraction(2, 49)), (5, Fraction(125))):
+        calls.clear()
+        gauss_gamma(a, AdditiveCharacter(Qp(p)))
+        assert calls == [p, p], a
+
+
+def test_disagreeing_levels_raise(monkeypatch):
+    import locquad.charsum
+
+    summed = locquad.charsum.padic_poly_sum
+    levels = iter([1, 1j])  # the confirming level turned by a quarter
+
+    def skewed(coeffs, p):
+        value, e = summed(coeffs, p)
+        return value * next(levels), e
+
+    monkeypatch.setattr(locquad.charsum, "padic_poly_sum", skewed)
+    with pytest.raises(ArithmeticError):
+        gauss_gamma(Fraction(3), AdditiveCharacter(Qp(5)))
 
 
 def test_real_place_and_zero_coefficient_are_rejected():
@@ -265,7 +343,7 @@ def test_weil_gamma_gates_are_the_module_constants(monkeypatch):
     expected = {c.name.removeprefix("p:3: "): c.expected for c in report.cases}
     for name in ("eighth-root property", "gamma ratio = relative Hasse on 20 level-2 pairs"):
         assert "within 1e-3" in expected[name] or "< 1e-3" in expected[name], name
-    for name in ("closed form = Gauss sum", "hyperbolic padding", "gamma(q + (-q)) = 1"):
+    for name in ("closed form = Gauss sum", "level m0 = level m0 + 1", "hyperbolic padding", "gamma(q + (-q)) = 1"):
         assert "within 1e-5" in expected[name], name
 
 
