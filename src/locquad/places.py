@@ -187,24 +187,35 @@ def class_bits_array(x, place: Place):
     p = place.p
     if place.is_real or p == 2 or p >= 1 << 31:
         raise ValueError(f"the array encoder needs an odd p < 2^31 (its squares stay in int64), not {place}")
+
+    def rem(a):
+        # x - x // p * p is x % p for every int64 x (floor division; any
+        # wrap of the product cancels in the difference), and numpy's //
+        # by a scalar goes through libdivide, unlike its %
+        return a - a // p * p
+
     unit = np.array(x, dtype=np.int64)  # a copy, divided down in place
     v = np.zeros(unit.shape, dtype=np.int64)
     # p is divided out only where it still divides, through flat views of
     # both arrays: the index set shrinks by about a factor p per pass
     flat, vflat = unit.reshape(-1), v.reshape(-1)
-    idx = np.flatnonzero((flat != 0) & (flat % p == 0))
+    idx = np.flatnonzero((flat != 0) & (rem(flat) == 0))
     while idx.size:
-        flat[idx] //= p
+        u = flat[idx] // p
+        flat[idx] = u
         vflat[idx] += 1
-        idx = idx[flat[idx] % p == 0]
-    # Euler's criterion, u^((p-1)/2) mod p by square-and-multiply
-    base, r, e = unit % p, np.ones_like(unit), (p - 1) // 2
+        idx = idx[rem(u) == 0]
+    # Euler's criterion, u^((p-1)/2) mod p by square-and-multiply; the
+    # products stay below p^2 < 2^62, and no pass multiplies by 1 or
+    # squares a power it will not use
+    base, r, e = rem(flat), None, (p - 1) // 2
     while e:
         if e & 1:
-            r = r * base % p
-        base = base * base % p
+            r = base if r is None else rem(r * base)
         e >>= 1
-    return (r == p - 1).astype(np.int64) | (v & 1) << 1, v
+        if e:
+            base = rem(base * base)
+    return (r == p - 1).reshape(v.shape).astype(np.int64) | (v & 1) << 1, v
 
 
 def pairing(a, b, place: Place):

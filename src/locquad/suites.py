@@ -13,6 +13,8 @@ import inspect
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import xor
 
 from . import __version__
 from .forms import (
@@ -21,13 +23,13 @@ from .forms import (
     equivalent,
     form_of_matrix,
     invariants,
-    witt_filtration_level,
 )
 from .places import (
     REAL,
     AdditiveCharacter,
     Place,
     Qp,
+    class_bits,
     hilbert_symbol,
     hilbert_symbol_oracle,
     least_nonresidue,
@@ -276,18 +278,27 @@ def _moderate_form(rng: random.Random, place: Place, rank: int) -> QuadraticForm
 
 
 def _level2_pairs(rng: random.Random, place: Place, count: int):
+    """Random diagonal pairs (q, r) of ranks n and n + 2k whose difference
+    lies at Witt filtration level >= 2.
+
+    The ranks agree mod 2, so the level is >= 2 exactly when det(q) det(r)
+    (-1)^k is a square (forms.witt_filtration_level).  Coefficients are
+    drawn as class bits, which are indices into square_class_reps, so the
+    determinant class is an XOR and no rejected draw builds a form.
+    """
     reps = square_class_reps(place)
+    classes = range(len(reps))
+    minus_one = class_bits(-1, place)
     found = []
     guard = 0
     while len(found) < count and guard < 20000:
         guard += 1
         n = rng.randint(1, 4)
         k = rng.choice([0, 1, 2])
-        q = QuadraticForm.make([rng.choice(reps) for _ in range(n)], place)
-        r = QuadraticForm.make([rng.choice(reps) for _ in range(n + 2 * k)], place)
-        level, _ = witt_filtration_level(q, r)
-        if level >= 2:
-            found.append((q, r))
+        q = [rng.choice(classes) for _ in range(n)]
+        r = [rng.choice(classes) for _ in range(n + 2 * k)]
+        if reduce(xor, q + r, (k & 1) * minus_one) == 0:
+            found.append(tuple(QuadraticForm.make([reps[b] for b in bits], place) for bits in (q, r)))
     if len(found) < count:
         raise ArithmeticError("could not find enough filtration-level-2 pairs")
     return found
@@ -664,7 +675,6 @@ def suite_sym3_mc(seed: int = 0, samples: int = 10**6) -> SuiteReport:
     """Monte Carlo probe of the degree-three equation; a stretch check."""
     import cmath
 
-    from .places import frac_part
     from .tate import Sym3Coset, sym3_fourier_value
 
     cases = []
@@ -673,6 +683,9 @@ def suite_sym3_mc(seed: int = 0, samples: int = 10**6) -> SuiteReport:
     p = 3
     coset = Sym3Coset.make([[1, 0, 0], [0, 1, 0], [0, 0, 2]], 1, p)
     y = [[Fraction(1, p), 0, 0], [0, 1, 0], [0, 0, Fraction(2, p)]]
+    # Tr(XY) = N/p with N = Tr(X pY) an integer, so psi(Tr(XY)) reads the
+    # phase (N mod p)/p
+    py = [[int(p * e) for e in row] for row in y]
     direct = 0
     for idx in range(p**6):
         digits = [(idx // p**j) % p for j in range(6)]
@@ -680,8 +693,8 @@ def suite_sym3_mc(seed: int = 0, samples: int = 10**6) -> SuiteReport:
         pairs = [(0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)]
         for (i, j), d in zip(pairs, digits):
             x[i][j] = x[j][i] = coset.center[i][j] + p * d
-        tr = sum(Fraction(x[i][j]) * y[j][i] for i in range(3) for j in range(3))
-        direct += cmath.exp(2j * cmath.pi * float(frac_part(tr, p))) / p ** (6 * 2)
+        n_tr = sum(x[i][j] * py[j][i] for i in range(3) for j in range(3))
+        direct += cmath.exp(2j * cmath.pi * ((n_tr % p) / p)) / p ** (6 * 2)
     closed = sym3_fourier_value(coset, y, p)
     cases.append(
         Case(

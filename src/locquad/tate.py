@@ -591,36 +591,37 @@ class Sym3Coset:
         return Sym3Coset(mat, int(level))
 
 
+# the six independent entries of a symmetric 3x3 matrix, in the column
+# order of the Monte Carlo draws
+_SYM3_ENTRIES = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
+
+
+def _sym3_minors(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Leading minors d1, d2, d3 of the symmetric matrices whose entries
+    are the columns of x, in the order of _SYM3_ENTRIES."""
+    a, b, c, d, e, f = x.T
+    d2 = a * b - d * d
+    return a, d2, c * d2 + 2 * d * e * f - a * f * f - b * e * e
+
+
 def sym3_classes(x: np.ndarray, place: Place) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Hasse bits of q_X, and class bits and valuations of det X, for a
-    stack (N, 3, 3) of invertible symmetric integer matrices.
+    """Hasse bits of q_X, and class bits and valuations of det X, for
+    invertible symmetric integer matrices X given by the rows of an
+    (N, 6) array of their entries x00, x11, x22, x01, x02, x12.
 
     With nonzero leading minors d1, d2, d3, q_X = <d1, d2/d1, d3/d2>, whose
     prefix products are d1 and d2.  When d1 or d2 vanishes, q_X is
     isotropic, hence a hyperbolic plane plus <-d3>, with Hasse invariant
     (-1, -d3) (Serre, A Course in Arithmetic, IV.2.2).
     """
-    d1 = x[:, 0, 0]
-    d2 = x[:, 0, 0] * x[:, 1, 1] - x[:, 0, 1] * x[:, 1, 0]
+    d1, d2, d3 = _sym3_minors(x)
     b1, _ = class_bits_array(d1, place)
     b2, _ = class_bits_array(d2, place)
-    b3, v3 = class_bits_array(_det3_batch(x), place)
+    b3, v3 = class_bits_array(d3, place)
     minus_one = class_bits(-1, place)
     chain = hasse_bit((b1, b1 ^ b2, b2 ^ b3), place)
     isotropic = pairing(minus_one, minus_one ^ b3, place)
     return np.where((d1 == 0) | (d2 == 0), isotropic, chain), b3, v3
-
-
-# positions of the six independent entries in a symmetric 3x3 matrix
-_SYM3_INDEX = [[0, 3, 4], [3, 1, 5], [4, 5, 2]]
-
-
-def _det3_batch(m: np.ndarray) -> np.ndarray:
-    return (
-        m[:, 0, 0] * (m[:, 1, 1] * m[:, 2, 2] - m[:, 1, 2] * m[:, 2, 1])
-        - m[:, 0, 1] * (m[:, 1, 0] * m[:, 2, 2] - m[:, 1, 2] * m[:, 2, 0])
-        + m[:, 0, 2] * (m[:, 1, 0] * m[:, 2, 1] - m[:, 1, 1] * m[:, 2, 0])
-    )
 
 
 @dataclass(frozen=True)
@@ -639,9 +640,11 @@ class Sym3MCReport:
 
 
 # Samples per block of the Monte Carlo probe.  Six default runs in one
-# process peaked at 116 MB resident with blocks of 2^17 samples, and at
-# 593 MB with the 10^6 samples in one block.
-_MC_BLOCK_SAMPLES = 1 << 17
+# process peaked at 45 MB resident with blocks of 2^15 samples, 75 MB with
+# 2^17 and 288 MB with the 10^6 samples in one block.  2^15 ran about 20%
+# faster than 2^17, and 2^13 or 2^14 no faster (the (2^15, 6) int64 draw
+# is 1.5 MB).
+_MC_BLOCK_SAMPLES = 1 << 15
 
 # p-adic digits drawn per matrix entry, before the int64 clamp
 _MC_DEPTH = 10
@@ -714,8 +717,13 @@ def padic_sym3_mc_check(
     # so the result equals that of a single block of n samples
     block = max(1, _MC_BLOCK_SAMPLES // batch)
     for ci, coset in enumerate(cosets):
-        x0 = np.array(coset.center, dtype=np.int64)
         lvl = coset.level
+        q = p**lvl
+        x0 = np.array([coset.center[i][j] for i, j in _SYM3_ENTRIES], dtype=np.int64)
+        # Tr(X0 Y) = sum of x0_ii y_ii + 2 x0_ij y_ij over i < j
+        trace_weights = x0 * np.array([1, 1, 1, 2, 2, 2], dtype=np.int64)
+        # psi(Tr(X0 Y)) for each residue of Tr(X0 Y') mod p^L
+        phase = np.exp(2j * np.pi * np.arange(q) / float(q))
         rng_lhs, rng_rhs = rng_streams[2 * ci], rng_streams[2 * ci + 1]
         lhs_parts, rhs_parts = [], []
         for first in range(0, batches, block):
@@ -726,28 +734,28 @@ def padic_sym3_mc_check(
             # factor p^{-6L} psi(Tr(X0 Y)) on p^{-L} Sym, and the volume of the
             # Y' domain cancels it, leaving a plain mean.
             flat = rng_lhs.integers(0, modulus, size=(m, 6), dtype=np.int64)
-            y = flat[:, _SYM3_INDEX]
-            dets = _det3_batch(y)
+            dets = _sym3_minors(flat)[2]
             zero = dets == 0
             dropped += int(zero.sum())
             v = np.where(zero, depth * 3, class_bits_array(dets, place)[1])
-            tr_mod = (
-                np.einsum("ij,nji->n", x0, y, dtype=np.int64) % (p**lvl)
-            )
-            weight = np.exp((3 * lvl - v) * s * logp) * np.exp(
-                2j * np.pi * tr_mod / float(p**lvl)
-            )
+            tr = flat @ trace_weights
+            # |det Y|^s = p^{(3L - v) s}, one value per valuation; the
+            # remainder is taken as in places.class_bits_array
+            det_power = np.exp((3 * lvl - np.arange(v.max() + 1)) * s * logp)
+            weight = det_power[v] * phase[tr - tr // q * q]
             weight[zero] = 0
             lhs_parts.append(weight.reshape(nb, batch).mean(axis=1))
 
             # RHS: X = X0 + p^L X' with X' uniform; weight eps(q_X)(det,-1)|det|^{-s-2}
             # and the p^{-6L} volume of the support cancels against the LHS factor.
             flat = rng_rhs.integers(0, modulus, size=(m, 6), dtype=np.int64)
-            x = x0[None, :, :] + p**lvl * flat[:, _SYM3_INDEX]
-            hasse, det_bits, vdet = sym3_classes(x, place)
+            flat *= q  # X = X0 + p^L X' in place, with no (m, 6) temporaries
+            flat += x0
+            hasse, det_bits, vdet = sym3_classes(flat, place)
             sign = 1 - 2 * (hasse ^ pairing(det_bits, minus_one, place))
             volume = float(p) ** (-6 * lvl)
-            rhs_w = sign * np.exp(vdet * (s + 2) * logp) * volume
+            det_power = np.exp(np.arange(vdet.max() + 1) * (s + 2) * logp)
+            rhs_w = sign * det_power[vdet] * volume
             rhs_parts.append(rhs_w.reshape(nb, batch).mean(axis=1) + 0j)
         lhs_batches = np.concatenate(lhs_parts)
         rhs_batches = np.concatenate(rhs_parts)

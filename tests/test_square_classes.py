@@ -101,16 +101,20 @@ def test_hasse_bit_takes_arrays():
         assert bit == hasse_bit([int(c) for c in row], place)
 
 
+INT64_ENDS = (-(2**63) + 1, 2**63 - 1)
+
+
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(
-    xs=st.lists(st.integers(-(2**62), 2**62) | st.just(0), min_size=1, max_size=40),
+    xs=st.lists(st.integers(*INT64_ENDS) | st.sampled_from((0, *INT64_ENDS)), min_size=1, max_size=40),
     vpow=st.integers(0, 20),
-    p=st.sampled_from([3, 5, 7, 13, 10007]),
+    # 2^31 - 1 is the largest p the encoder takes
+    p=st.sampled_from([3, 5, 7, 13, 10007, 2**31 - 1]),
 )
 def test_array_encoder_equals_the_scalar_one(xs, vpow, p):
     place = Qp(p)
     # multiply some entries by a power of p, staying inside int64
-    xs = [x * p**vpow if abs(x * p**vpow) < 2**62 else x for x in xs]
+    xs = [x * p**vpow if abs(x * p**vpow) < 2**63 else x for x in xs]
     # zero reads as the trivial class with valuation 0
     want_bits = [class_bits(x, place) if x else 0 for x in xs]
     want_v = [valuation(x, p) if x else 0 for x in xs]

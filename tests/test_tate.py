@@ -431,6 +431,35 @@ def test_sym3_mc_blocks_do_not_change_the_report(monkeypatch, block):
     assert padic_sym3_mc_check(**kw) == whole
 
 
+@pytest.mark.parametrize(
+    "kw, ratios, sigma",
+    [
+        (
+            dict(p=3, s=0.5, seed=9, samples=20000),
+            ((11.501008648756152 - 9.387180583221866j), (11.515869002304203 + 9.975983374032236j)),
+            31.77549027974759,
+        ),
+        (  # the depth-guard path: 6 digits per entry at p = 7
+            dict(p=7, s=0.5, seed=1, samples=5000),
+            ((-17367.290718504566 + 27070.57519783517j), (-20962.434125446227 + 19451.351777096028j)),
+            39495.79124927923,
+        ),
+        (
+            dict(p=5, s=0.3 + 0.4j, seed=2, samples=20000),
+            ((-528.7407534793929 + 406.8825459862761j), (-150.57923093696425 - 96.90233207700877j)),
+            605.7056169887553,
+        ),
+    ],
+)
+def test_sym3_mc_reproduces_pinned_outputs(kw, ratios, sigma):
+    # values of the (N, 3, 3) stack kernel with per-sample exponentials;
+    # the same seeded samples must give them bit for bit
+    rep = padic_sym3_mc_check(**kw)
+    assert rep.ratios == ratios
+    assert rep.sigma_combined == sigma
+    assert rep.dropped == 0
+
+
 def test_sym3_mc_depth_guard_notes():
     # int64 determinants allow 6 digits per entry at p = 7, below the default 10
     rep = padic_sym3_mc_check(p=7, s=0.5, seed=1, samples=5000)
@@ -487,7 +516,7 @@ def test_sym3_classes_match_exact_diagonalisation(p):
     x = x[dets != 0]
     d1, d2 = x[:, 0, 0], x[:, 0, 0] * x[:, 1, 1] - x[:, 0, 1] ** 2
     assert ((d1 == 0).sum() > 100) and ((d1 != 0) & (d2 == 0)).sum() >= 2
-    hasse, det_bits, vdet = sym3_classes(x, Qp(p))
+    hasse, det_bits, vdet = sym3_classes(x[:, [0, 1, 2, 0, 0, 1], [0, 1, 2, 1, 2, 2]], Qp(p))
     for m, h, b, v in zip(x, hasse, det_bits, vdet):
         q = form_of_matrix(SymMatrix.make(m.tolist()), Qp(p))
         assert 1 - 2 * h == q.hasse()

@@ -331,6 +331,25 @@ def test_gamma_epsilon_seeded_pairs():
         found += 1
 
 
+@pytest.mark.parametrize("place", [REAL, Qp(2), Qp(3), Qp(7)], ids=str)
+def test_level2_pairs_keep_what_the_filtration_keeps(place):
+    # the class-bit XOR keeps the same draws as witt_filtration_level on
+    # the built forms, from the same calls on the same generator
+    from locquad.forms import witt_filtration_level
+    from locquad.suites import _level2_pairs
+
+    rng = random.Random(11)
+    reps = square_class_reps(place)
+    want = []
+    while len(want) < 30:
+        n, k = rng.randint(1, 4), rng.choice([0, 1, 2])
+        q = QuadraticForm.make([rng.choice(reps) for _ in range(n)], place)
+        r = QuadraticForm.make([rng.choice(reps) for _ in range(n + 2 * k)], place)
+        if witt_filtration_level(q, r)[0] >= 2:
+            want.append((q, r))
+    assert _level2_pairs(random.Random(11), place, 30) == want
+
+
 def test_weil_gamma_gates_are_the_module_constants(monkeypatch):
     import locquad.suites
     import locquad.weil
