@@ -36,7 +36,6 @@ _EXPORTS = {
         "equivalent",
         "form_of_matrix",
         "invariants",
-        "witt_class_invariants",
         "witt_filtration_level",
     ),
     "weil": (

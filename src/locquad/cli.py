@@ -124,7 +124,7 @@ def _twist_class(text: str, place: Place, parser: argparse.ArgumentParser):
             parser.error(f"--twist: {text!r} has no meaning at the real place")
         if not place.is_real and place.p == 2 and bits:
             parser.error("--twist: at p=2 there are 3 unit classes; give a rational such as -1, 5 or 2")
-        return SquareClass.from_bits(bits, place)
+        return SquareClass(place, bits)
     try:
         d = parse_rational(text)
     except (ValueError, ZeroDivisionError) as e:
@@ -269,7 +269,7 @@ def _cmd_stationary(args, parser) -> tuple[dict, bool]:
 
 
 def _cmd_sym_sign(args, parser) -> tuple[dict, bool]:
-    from .symsign import c_constant, epsilon_pair, verify_signprop
+    from .symsign import c_constant, verify_signprop
 
     if args.left is not None or args.right is not None:
         if args.left is None or args.right is None:
@@ -282,7 +282,7 @@ def _cmd_sym_sign(args, parser) -> tuple[dict, bool]:
             "mode": "pair",
             "left": qa.coeffs,
             "right": qb.coeffs,
-            "epsilon_pair": epsilon_pair(qa, qb),
+            "epsilon_pair": rep.lhs,
             **_fields(rep),
         }, rep.ok
     if args.n is None:
@@ -363,7 +363,7 @@ def _cmd_tate(args, parser) -> tuple[dict, bool]:
             "ok": ok,
         }, ok
     twist = _twist_class(args.twist, args.place, parser)
-    chi = MultiplicativeCharacter.make(args.place, s, twist.rep)
+    chi = MultiplicativeCharacter.make(args.place, s, twist)
     rep = tate_check(chi)
     ok = rep.max_deviation < PADIC_TOL
     return {
@@ -552,7 +552,3 @@ def main(argv=None) -> int:
     _emit(payload, getattr(args, "out", None))
     print(f"wall {time.perf_counter() - t0:.3f}s", file=sys.stderr)
     return 0 if ok else 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

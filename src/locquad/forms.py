@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from operator import xor
 
 from .places import (
@@ -21,7 +21,6 @@ from .places import (
     class_bits,
     pairing,
     parse_rational,
-    square_class,
 )
 
 
@@ -64,18 +63,20 @@ class QuadraticForm:
             d *= c
         return d
 
-    def class_bits(self) -> list[int]:
-        return [class_bits(c, self.place) for c in self.coeffs]
+    @cached_property
+    def bits(self) -> tuple[int, ...]:
+        """The class bits of the coefficients, encoded once per form."""
+        return tuple(class_bits(c, self.place) for c in self.coeffs)
 
     def det_class(self) -> SquareClass:
-        return SquareClass.from_bits(reduce(xor, self.class_bits(), 0), self.place)
+        return SquareClass(self.place, reduce(xor, self.bits, 0))
 
     def hasse(self) -> int:
         """Hasse-Witt invariant: product of (a_i, a_j) over pairs i < j.
 
         Rank 0 and rank 1 forms have invariant +1 (empty product).
         """
-        return -1 if hasse_bit(self.class_bits(), self.place) else 1
+        return -1 if hasse_bit(self.bits, self.place) else 1
 
     def signature(self) -> tuple[int, int]:
         """(positives, negatives); real place only."""
@@ -289,34 +290,19 @@ def witt_filtration_level(q: QuadraticForm, r: QuadraticForm):
     contributes det -1, so the image is det(q) * det(r) * (-1)^k with
     2k = rank(q) - rank(r).  At level >= 2, w2_class is the relative
     Hasse-Witt invariant of the padded pair, which for equal ranks is
-    just hasse(q) * hasse(r).
+    just hasse(q) * hasse(r).  Both are read from the class bits: the
+    image is their XOR, and a plane pads the shorter form with the bits
+    of 1 and -1.
     """
     q._check_place(r)
     place = q.place
     if (q.rank - r.rank) % 2 != 0:
         return 0, None
-    k = (q.rank - r.rank) // 2
-    image = square_class(q.det() * r.det() * Fraction(-1) ** k, place)
-    if not image.is_trivial():
-        return 1, None
-    return 2, _padded_relative_hasse(q, r)
-
-
-def _padded_relative_hasse(q: QuadraticForm, r: QuadraticForm) -> int:
-    """hasse(q)*hasse(r') with r' the shorter form padded by hyperbolic
-    planes <1, -1> to the rank of the longer one."""
     if q.rank < r.rank:
         q, r = r, q
-    planes = QuadraticForm(q.place, (Fraction(1), Fraction(-1)) * ((q.rank - r.rank) // 2))
-    return q.hasse() * r.direct_sum(planes).hasse()
-
-
-def witt_class_invariants(q: QuadraticForm) -> dict:
-    """Rank parity, determinant class and Hasse data identifying the
-    Witt class of q at its place."""
-    return {
-        "rank_mod_2": q.rank % 2,
-        "det_class": str(q.det_class()),
-        "hasse": q.hasse(),
-        **({"signature": q.signature()[0] - q.signature()[1]} if q.place.is_real else {}),
-    }
+    k = (q.rank - r.rank) // 2
+    minus_one = class_bits(-1, place)
+    if reduce(xor, q.bits + r.bits, (k & 1) * minus_one):
+        return 1, None
+    w2 = hasse_bit(q.bits, place) ^ hasse_bit(r.bits + (0, minus_one) * k, place)
+    return 2, -1 if w2 else 1

@@ -245,46 +245,40 @@ def class_count(place: Place) -> int:
 
 @dataclass(frozen=True)
 class SquareClass:
-    """A class in E*/(E*)^2, stored by its canonical representative.
+    """A class in E*/(E*)^2, stored by its class bits.
 
-    Representatives: {1, -1} at the real place; {1, u, p, u*p} with u the
-    least non-residue at an odd p; {±1, ±5, ±2, ±10} at p = 2.
+    Its canonical representative is read from the bits: {1, -1} at the
+    real place; {1, u, p, u*p} with u the least non-residue at an odd p;
+    {±1, ±5, ±2, ±10} at p = 2.
     """
 
     place: Place
-    rep: Fraction
-
-    @staticmethod
-    def of(x: Rational, place: Place) -> "SquareClass":
-        return SquareClass.from_bits(class_bits(x, place), place)
-
-    @staticmethod
-    def from_bits(bits: int, place: Place) -> "SquareClass":
-        if place.is_real:
-            return SquareClass(place, Fraction(-1 if bits else 1))
-        p = place.p
-        if p == 2:
-            return SquareClass(place, Fraction((1, -1, 5, -5)[bits & 3] * (2 if bits & 4 else 1)))
-        return SquareClass(place, Fraction((least_nonresidue(p) if bits & 1 else 1) * (p if bits & 2 else 1)))
+    bits: int
 
     @property
-    def bits(self) -> int:
-        return class_bits(self.rep, self.place)
+    def rep(self) -> Fraction:
+        bits, place = self.bits, self.place
+        if place.is_real:
+            return Fraction(-1 if bits else 1)
+        p = place.p
+        if p == 2:
+            return Fraction((1, -1, 5, -5)[bits & 3] * (2 if bits & 4 else 1))
+        return Fraction((least_nonresidue(p) if bits & 1 else 1) * (p if bits & 2 else 1))
 
     def is_trivial(self) -> bool:
-        return self.rep == 1
+        return self.bits == 0
 
     def __str__(self) -> str:
         return str(self.rep)
 
 
 def square_class(x: Rational, place: Place) -> SquareClass:
-    return SquareClass.of(x, place)
+    return SquareClass(place, class_bits(x, place))
 
 
 def square_class_reps(place: Place) -> list[Fraction]:
     """All canonical square-class representatives, indexed by class bits."""
-    return [SquareClass.from_bits(bits, place).rep for bits in range(class_count(place))]
+    return [SquareClass(place, bits).rep for bits in range(class_count(place))]
 
 
 def hilbert_symbol(a: Rational, b: Rational, place: Place) -> int:

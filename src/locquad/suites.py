@@ -40,12 +40,15 @@ from .shintani import CLOSED_FORM_TOL, check_sign_vectors, closed_form_error
 from .stationary import PREDICTION_TOL, PhasePolynomial, compare_stationary
 from .symsign import c_constant, epsilon_scaling_check, expected_orbit_count, scaling_invariant, sl_orbit_count
 from .tate import (
+    _SYM3_ENTRIES,
     PADIC_TOL,
     REAL_TOL,
     MultiplicativeCharacter,
+    Sym3Coset,
     padic_sym3_mc_check,
     real_gamma_matrix_check,
     real_tate_check,
+    sym3_fourier_value,
     tate_check,
 )
 from .weil import (
@@ -675,8 +678,6 @@ def suite_sym3_mc(seed: int = 0, samples: int = 10**6) -> SuiteReport:
     """Monte Carlo probe of the degree-three equation; a stretch check."""
     import cmath
 
-    from .tate import Sym3Coset, sym3_fourier_value
-
     cases = []
 
     # transform of a level-1 coset indicator against the direct 3^6-term sum
@@ -690,8 +691,7 @@ def suite_sym3_mc(seed: int = 0, samples: int = 10**6) -> SuiteReport:
     for idx in range(p**6):
         digits = [(idx // p**j) % p for j in range(6)]
         x = [[0] * 3 for _ in range(3)]
-        pairs = [(0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)]
-        for (i, j), d in zip(pairs, digits):
+        for (i, j), d in zip(_SYM3_ENTRIES, digits):
             x[i][j] = x[j][i] = coset.center[i][j] + p * d
         n_tr = sum(x[i][j] * py[j][i] for i in range(3) for j in range(3))
         direct += cmath.exp(2j * cmath.pi * ((n_tr % p) / p)) / p ** (6 * 2)

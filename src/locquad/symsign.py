@@ -30,6 +30,7 @@ from .places import (
     class_bits,
     class_count,
     hilbert_symbol,
+    pairing,
     square_class,
 )
 
@@ -131,7 +132,7 @@ def c_constant(n: int, place: Place) -> CConstantReport:
                 ok = False
         else:
             seen[key] = g
-    values = {str(SquareClass.from_bits(k, place)): 1 - 2 * g for k, g in seen.items()}
+    values = {str(SquareClass(place, k)): 1 - 2 * g for k, g in seen.items()}
     return CConstantReport(values, ok, len(values), count)
 
 
@@ -204,10 +205,14 @@ class ScalingReport:
 
 def scaling_invariant(q: QuadraticForm) -> int:
     """hasse(q_A) * (det A, -1)^((n-1)/2), for odd n; unchanged under
-    A -> tA."""
+    A -> tA.  The symbol (det A, -1) is the pairing of the XOR of the
+    coefficients' class bits with those of -1."""
     if q.rank % 2 == 0:
         raise ValueError("defined for odd n")
-    return q.hasse() * hilbert_symbol(q.det(), -1, q.place) ** ((q.rank - 1) // 2)
+    place = q.place
+    if (q.rank - 1) // 2 % 2 and pairing(q.det_class().bits, class_bits(-1, place), place):
+        return -q.hasse()
+    return q.hasse()
 
 
 def epsilon_scaling_check(q: QuadraticForm, t: Rational) -> ScalingReport:

@@ -189,21 +189,21 @@ def test_padic_poly_sum_sums_its_own_full_period():
     assert abs(value - 1 / 7) < 1e-15
 
 
-def _fresh(code: str, *args: str, threads: str = "1") -> subprocess.CompletedProcess:
+def _fresh(*args: str, threads: str = "1") -> subprocess.CompletedProcess:
     env = {**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": threads}
     return subprocess.run(
-        [sys.executable, "-c", code, *args], capture_output=True, text=True, timeout=300, env=env
+        [sys.executable, *args], capture_output=True, text=True, timeout=300, env=env
     )
 
 
-CLI = "import sys; from locquad.cli import main; sys.exit(main(sys.argv[1:]))"
+CLI = ("-m", "locquad")
 
 
 @pytest.mark.parametrize("suite", ["weil-gamma", "stationary"])
 def test_reports_do_not_depend_on_blas_threads(suite):
     outs = []
     for threads in ("1", "2"):
-        proc = _fresh(CLI, "verify", "--suite", suite, "--seed", "0", threads=threads)
+        proc = _fresh(*CLI, "verify", "--suite", suite, "--seed", "0", threads=threads)
         assert proc.returncode == 0, proc.stderr
         outs.append(proc.stdout)
     assert json.loads(outs[0])["ok"]
@@ -222,7 +222,7 @@ def test_deepest_gauss_sum_stays_small_in_memory():
         "gauss_gamma(Fraction(3, 7**4), AdditiveCharacter(Qp(7)))\n"
         "print(next(l for l in open('/proc/self/status') if l.startswith('VmHWM')))\n"
     )
-    proc = _fresh(code)
+    proc = _fresh("-c", code)
     assert proc.returncode == 0, proc.stderr
     peak_mb = int(proc.stdout.split()[1]) / 1024  # VmHWM is in kB
     assert peak_mb < 100

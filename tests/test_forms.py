@@ -12,7 +12,6 @@ from locquad.forms import (
     equivalent,
     form_of_matrix,
     invariants,
-    witt_class_invariants,
     witt_filtration_level,
 )
 from locquad.places import REAL, Qp, hilbert_symbol, square_class, square_class_reps
@@ -170,13 +169,42 @@ def test_witt_filtration_hyperbolic_padding_sign():
     assert w2 == 1
 
 
-def test_witt_class_invariants_identify_hyperbolic():
+def fraction_witt_level(q, r):
+    """The Witt level by Fraction determinants and a form padded with
+    hyperbolic planes <1, -1>, as witt_filtration_level's docstring states it."""
+    if (q.rank - r.rank) % 2:
+        return 0, None
+    k = (q.rank - r.rank) // 2
+    if not square_class(q.det() * r.det() * Fraction(-1) ** k, q.place).is_trivial():
+        return 1, None
+    long, short = (q, r) if q.rank >= r.rank else (r, q)
+    planes = QuadraticForm(q.place, (Fraction(1), Fraction(-1)) * ((long.rank - short.rank) // 2))
+    return 2, long.hasse() * short.direct_sum(planes).hasse()
+
+
+@pytest.mark.parametrize("place", [REAL, Qp(2), Qp(3), Qp(5), Qp(7)], ids=str)
+def test_witt_filtration_level_equals_the_fraction_route(place):
+    rng = random.Random(23)
+
+    def form(n):
+        return QuadraticForm(place, tuple(Fraction(rng.choice([-1, 1]) * rng.randint(1, 60), rng.randint(1, 60)) for _ in range(n)))
+
+    seen = set()
+    for _ in range(800):
+        q, r = form(rng.randint(1, 6)), form(rng.randint(1, 6))
+        level, w2 = witt_filtration_level(q, r)
+        assert (level, w2) == fraction_witt_level(q, r)
+        seen.add((level, w2, (q.rank > r.rank) - (q.rank < r.rank)))
+    # every level, and level 2 with either sign and the shorter form on either side
+    assert {0, 1} <= {level for level, _, _ in seen}
+    assert {(2, w2, order) for w2 in (1, -1) for order in (-1, 1)} <= seen
+
+
+def test_invariants_identify_hyperbolic():
     place = Qp(5)
-    h = QuadraticForm.make([1, -1], place)
-    assert witt_class_invariants(h)["rank_mod_2"] == 0
-    assert witt_class_invariants(h)["det_class"] == witt_class_invariants(
-        QuadraticForm.make([2, -2], place)
-    )["det_class"]
+    h = invariants(QuadraticForm.make([1, -1], place))
+    assert h.rank % 2 == 0
+    assert h.det_rep == invariants(QuadraticForm.make([2, -2], place)).det_rep
 
 
 def test_symmatrix_validation():

@@ -74,6 +74,21 @@ def test_real_tate_request_skips_scipy():
     assert not any(m.split(".")[0] == "scipy" for m in mods)
 
 
+def test_python_m_locquad_prints_what_main_prints_without_numpy(capsys):
+    argv = ["hilbert", "--place", "p:5", "--a", "2", "--b", "5"]
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "locquad", *argv],
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert cli.main(argv) == 0
+    assert proc.stdout == capsys.readouterr().out
+    # -X importtime reports each imported module on its own stderr line
+    imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")}
+    assert "locquad.cli" in imported
+    assert not any(m.split(".")[0] in ("numpy", "scipy") for m in imported)
+
+
 def test_public_names_resolve_and_are_listed():
     listed = dir(locquad)
     for name in locquad.__all__:

@@ -1,6 +1,7 @@
 """The square-class core: class bits, the pairing on them, the prefix
 Hasse invariant and the array encoder, each against an independent route."""
 
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -15,6 +16,7 @@ from locquad.forms import QuadraticForm, hasse_bit
 from locquad.places import (
     REAL,
     Qp,
+    SquareClass,
     class_bits,
     class_bits_array,
     class_count,
@@ -59,8 +61,16 @@ def test_pairing_is_symmetric_and_bilinear(place):
 @pytest.mark.parametrize("place", PLACES, ids=str)
 def test_class_bits_index_the_representatives(place):
     for bits, rep in enumerate(square_class_reps(place)):
+        assert SquareClass(place, bits).rep == rep
         assert class_bits(rep, place) == bits
-        assert class_bits(rep * Fraction(9, 49), place) == bits
+        assert square_class(rep * Fraction(9, 49), place) == SquareClass(place, bits)
+    rng = random.Random(0)
+    coeffs = tuple(Fraction(rng.choice([-1, 1]) * rng.randint(1, 10**4), rng.randint(1, 10**4)) for _ in range(12))
+    q = QuadraticForm(place, coeffs)
+    assert q.bits == tuple(class_bits(c, place) for c in coeffs)
+    # the cached bits are no field, so a form's payload and equality ignore them
+    assert [f.name for f in dataclasses.fields(q)] == ["place", "coeffs"]
+    assert q == QuadraticForm(place, coeffs)
 
 
 @derandomized

@@ -167,6 +167,19 @@ def test_scaling_invariant_congruence_stable():
     assert scaling_invariant(form_of_matrix(A, place)) == scaling_invariant(form_of_matrix(A.congruent_by(g), place))
 
 
+@pytest.mark.parametrize("place", [REAL, Qp(2), Qp(3), Qp(5), Qp(7)], ids=str)
+def test_scaling_invariant_equals_the_fraction_route(place):
+    rng = random.Random(23)
+    seen = set()
+    for n in (1, 3, 5, 7):
+        for _ in range(60):
+            q = QuadraticForm(place, tuple(Fraction(rng.choice([-1, 1]) * rng.randint(1, 60), rng.randint(1, 60)) for _ in range(n)))
+            ref = q.hasse() * hilbert_symbol(q.det(), -1, place) ** ((n - 1) // 2)
+            assert scaling_invariant(q) == ref
+            seen.add((n, ref))
+    assert {(n, s) for n in (3, 5, 7) for s in (1, -1)} <= seen
+
+
 def test_scaling_needs_odd_rank():
     with pytest.raises(ValueError):
         epsilon_scaling_check(QuadraticForm.make([1, 2], Qp(3)), Fraction(3))
