@@ -68,6 +68,7 @@ _EXPORTS = {
         "c_constant_value",
         "epsilon_pair",
         "epsilon_scaling_check",
+        "orbit_counts",
         "orbit_invariant",
         "scaling_invariant",
         "sl_orbit_count",
@@ -98,7 +99,6 @@ _EXPORTS = {
         "padic_sym3_mc_check",
         "padic_zeta",
         "real_gamma_matrix_check",
-        "real_tate_check",
         "real_zeta",
         "sym3_fourier_value",
         "tate_check",

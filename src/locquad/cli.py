@@ -116,13 +116,12 @@ def _form_arg(args, parser: argparse.ArgumentParser) -> QuadraticForm:
 
 
 def _twist_class(text: str, place: Place, parser: argparse.ArgumentParser):
-    """A square class given as a rational, or symbolically as 1 / u / p / up."""
+    """A p-adic square class given as a rational, or symbolically as
+    1 / u / p / up."""
     symbolic = {"1": 0, "u": 1, "p": 2, "up": 3}  # the class bits at an odd p
     if text in symbolic:
         bits = symbolic[text]
-        if place.is_real and bits > 1:
-            parser.error(f"--twist: {text!r} has no meaning at the real place")
-        if not place.is_real and place.p == 2 and bits:
+        if place.p == 2 and bits:
             parser.error("--twist: at p=2 there are 3 unit classes; give a rational such as -1, 5 or 2")
         return SquareClass(place, bits)
     try:
@@ -297,7 +296,7 @@ def _cmd_sym_sign(args, parser) -> tuple[dict, bool]:
 
 
 def _cmd_orbits(args, parser) -> tuple[dict, bool]:
-    from .symsign import expected_orbit_count, orbit_invariant, sl_orbit_count
+    from .symsign import expected_orbit_count, orbit_counts, orbit_invariant
 
     if args.infile:
         q = _load_form_json(args.infile, parser)
@@ -310,7 +309,7 @@ def _cmd_orbits(args, parser) -> tuple[dict, bool]:
     if args.place.is_real:
         parser.error("--place: orbit counting is p-adic; give p:<prime>")
     reps = square_class_reps(args.place)
-    counts = {str(d): sl_orbit_count(args.n, d, args.place) for d in reps}
+    counts = {str(reps[bits]): count for bits, count in orbit_counts(args.n, args.place).items()}
     ok = all(counts[str(d)] == expected_orbit_count(args.n, d, args.place) for d in reps)
     return {
         "place": args.place,
@@ -344,27 +343,31 @@ def _cmd_shintani(args, parser) -> tuple[dict, bool]:
 
 
 def _cmd_tate(args, parser) -> tuple[dict, bool]:
-    from .tate import PADIC_TOL, REAL_TOL, MultiplicativeCharacter, real_gamma_matrix_check, real_tate_check, tate_check
+    from .tate import PADIC_TOL, REAL_TOL, MultiplicativeCharacter, real_gamma_matrix_check, tate_check
 
     s = complex(args.s)
     if args.place.is_real:
+        if args.twist is not None:
+            parser.error("--twist: the real place takes --parity 0 or 1, not a twist")
         if s.imag:
             parser.error("--s: the real-place check needs a real s in (-1, 0)")
-        rep = real_tate_check(s.real, parity=args.parity)
+        parity = args.parity or 0
+        rep = tate_check(MultiplicativeCharacter.make(args.place, s.real, -1 if parity else 1))
         gm = real_gamma_matrix_check(s.real)
         ok = rep.max_deviation < REAL_TOL and gm.residual < REAL_TOL
         return {
             "place": "real",
             "s": s.real,
-            "parity": args.parity,
+            "parity": parity,
             "tol": REAL_TOL,
             "ratio_check": rep,
             "gamma_matrix_check": gm,
             "ok": ok,
         }, ok
-    twist = _twist_class(args.twist, args.place, parser)
-    chi = MultiplicativeCharacter.make(args.place, s, twist)
-    rep = tate_check(chi)
+    if args.parity is not None:
+        parser.error("--parity: a p-adic place takes --twist, not a parity")
+    twist = _twist_class(args.twist or "1", args.place, parser)
+    rep = tate_check(MultiplicativeCharacter.make(args.place, s, twist))
     ok = rep.max_deviation < PADIC_TOL
     return {
         "tol": PADIC_TOL,
@@ -507,8 +510,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("tate", "degree-one functional equation at one character", "_cmd_tate")
     p.add_argument("--place", type=_arg_place, required=True)
     p.add_argument("--s", type=_arg_s, required=True)
-    p.add_argument("--twist", default="1", help="square class: a rational, or 1/u/p/up at odd p")
-    p.add_argument("--parity", type=int, choices=(0, 1), default=0, help="real test family parity")
+    p.add_argument("--twist", help="p-adic square class: a rational, or 1/u/p/up at odd p (default 1)")
+    p.add_argument("--parity", type=int, choices=(0, 1), help="real place: 1 twists by sgn (default 0)")
 
     p = add("sym3-mc", "Monte Carlo probe of the degree-three equation", "_cmd_sym3_mc")
     p.add_argument("--p", type=int, default=3)

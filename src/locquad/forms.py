@@ -3,7 +3,7 @@
 Forms are kept diagonal, q = <a_1, ..., a_n> meaning sum a_i x_i^2 with
 exact rational coefficients.  Symmetric matrices are reduced to diagonal
 shape by symmetric Gaussian elimination over Q, which preserves the
-determinant up to squares and hence every invariant computed here.
+determinant and hence every invariant computed here.
 """
 
 from __future__ import annotations
@@ -184,24 +184,6 @@ class SymMatrix:
     def n(self) -> int:
         return len(self.entries)
 
-    def det(self) -> Fraction:
-        a = [list(row) for row in self.entries]
-        n = len(a)
-        d = Fraction(1)
-        for i in range(n):
-            piv = next((r for r in range(i, n) if a[r][i] != 0), None)
-            if piv is None:
-                return Fraction(0)
-            if piv != i:
-                a[i], a[piv] = a[piv], a[i]
-                d = -d
-            d *= a[i][i]
-            for r in range(i + 1, n):
-                f = a[r][i] / a[i][i]
-                for c in range(i, n):
-                    a[r][c] -= f * a[i][c]
-        return d
-
     def congruent_by(self, g: list[list]) -> "SymMatrix":
         """g^T A g for an integer (or rational) matrix g.
 
@@ -229,8 +211,11 @@ def diagonalize(A: SymMatrix, place: Place) -> tuple[QuadraticForm, int]:
 
     Returns (form, radical_dim).  A zero pivot with a nonzero
     off-diagonal partner is repaired by adding row+column j into
-    row+column i; rows that vanish entirely go to the radical.  All
-    steps are congruences, so det(form) = det(A) modulo squares.
+    row+column i; rows that vanish entirely go to the radical.  Every
+    step is a congruence A -> P^T A P with det P = +-1 (swapping two
+    rows and columns, or adding a multiple of one to another), so with
+    a zero radical det(form) = det(A) exactly, and a nonzero radical
+    means det(A) = 0.
     """
     n = A.n
     a = [list(row) for row in A.entries]

@@ -35,7 +35,7 @@ from fractions import Fraction
 from .charsum import padic_poly_sum, padic_poly_sum_2d
 from .forms import QuadraticForm, SymMatrix, form_of_matrix
 from .places import AdditiveCharacter, Place, Rational, valuation
-from .weil import gamma_form
+from .weil import gamma_form, polarized_det_abs_rsqrt
 
 Monomials = dict[tuple[int, ...], int]
 
@@ -300,16 +300,14 @@ def stationary_phase_prediction(f: PhasePolynomial, t: Rational) -> complex:
     n = f.nvars
     total = 0 + 0j
     for cp in pts:
-        detH = cp.hessian[0][0] if n == 1 else (
-            cp.hessian[0][0] * cp.hessian[1][1] - cp.hessian[0][1] * cp.hessian[1][0]
-        )
         g = gamma_form(cp.hessian_form, psi)
         phase = psi(t * f.eval_at(cp.point))
+        # the polarized det of q0 = v^T H v / 2 is det H exactly
         total += (
             phase
             * float(p) ** (n * v / 2)
             * g.value
-            * float(p) ** (valuation(Fraction(detH), p) / 2)
+            * polarized_det_abs_rsqrt(cp.hessian_form)
         )
     return total
 

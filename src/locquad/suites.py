@@ -38,7 +38,7 @@ from .places import (
 )
 from .shintani import CLOSED_FORM_TOL, check_sign_vectors, closed_form_error
 from .stationary import PREDICTION_TOL, PhasePolynomial, compare_stationary
-from .symsign import c_constant, epsilon_scaling_check, expected_orbit_count, scaling_invariant, sl_orbit_count
+from .symsign import c_constant, epsilon_scaling_check, expected_orbit_count, orbit_counts, scaling_invariant
 from .tate import (
     _SYM3_ENTRIES,
     PADIC_TOL,
@@ -47,7 +47,6 @@ from .tate import (
     Sym3Coset,
     padic_sym3_mc_check,
     real_gamma_matrix_check,
-    real_tate_check,
     sym3_fourier_value,
     tate_check,
 )
@@ -577,7 +576,7 @@ def suite_orbits(seed: int = 0, n=None, place=None) -> SuiteReport:
         pl = Qp(prime)
         reps = square_class_reps(pl)
         for nn in ns:
-            counts = [sl_orbit_count(nn, d, pl) for d in reps]
+            counts = list(orbit_counts(nn, pl).values())
             expected = [expected_orbit_count(nn, d, pl) for d in reps]
             cases.append(
                 Case(
@@ -649,7 +648,7 @@ def suite_tate(seed: int = 0, place=None) -> SuiteReport:
                 )
             )
     for s, parity in ((-0.5, 0), (-0.3, 0), (-0.45, 1)):
-        rep = real_tate_check(s, parity=parity)
+        rep = tate_check(MultiplicativeCharacter.make(REAL, s, -1 if parity else 1))
         cases.append(
             Case(
                 f"real s={s} parity {parity}",

@@ -160,28 +160,38 @@ def orbit_invariant(q: QuadraticForm) -> dict:
     return inv
 
 
+def orbit_counts(n: int, place: Place) -> dict[int, int]:
+    """Number of congruence orbits of invertible rank-n symmetric matrices
+    in each determinant class, keyed by class bits in square_class_reps
+    order.
+
+    Counted in one walk over the diagonal representatives, bucketed by
+    the XOR of their class bits: the realizable Hasse invariant values
+    at a p-adic place, the signatures at the real place.
+    """
+    found: dict[int, set] = {}
+    for t in _class_tuples(n, place):
+        seen = found.setdefault(reduce(xor, t), set())
+        if place.is_real:
+            # the count of positive entries is the signature
+            seen.add(t.count(0))
+        elif len(seen) < 2:  # a Hasse bit has two values
+            seen.add(hasse_bit(t, place))
+    return {bits: len(found[bits]) for bits in sorted(found)}
+
+
 def sl_orbit_count(n: int, det_class: Rational, place: Place) -> int:
     """Number of congruence orbits of invertible symmetric matrices with
-    the given determinant class.
-
-    Counted by enumerating realizable invariant tuples over diagonal
-    representatives: the Hasse invariant values at a p-adic place, the
-    signatures at the real place.
-    """
+    the given determinant class: one entry of orbit_counts."""
     target = square_class(det_class, place)
-    target_bits = target.bits
-    found = set()
-    for t in _class_tuples(n, place):
-        if reduce(xor, t) == target_bits:
-            # the count of positive entries is the signature at the real place
-            found.add(t.count(0) if place.is_real else hasse_bit(t, place))
-    if not found:
+    count = orbit_counts(n, place).get(target.bits)
+    if count is None:
         raise ValueError(f"no rank-{n} form has det class {target.rep}")
-    return len(found)
+    return count
 
 
 def expected_orbit_count(n: int, det_class: Rational, place: Place) -> int:
-    """The number of congruence orbits that sl_orbit_count must find over
+    """The number of congruence orbits that orbit_counts must find over
     Q_p, from the classification of forms by rank, det class and Hasse
     invariant (Serre, A Course in Arithmetic, IV.2.3, Prop. 6): both Hasse
     values occur from rank 3 on, one at rank 1, and at rank 2 one when

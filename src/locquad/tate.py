@@ -35,19 +35,17 @@ from typing import Iterable
 import numpy as np
 
 from .charsum import BudgetError
-from .forms import SymMatrix, hasse_bit
+from .forms import SymMatrix, diagonalize, hasse_bit
 from .places import (
-    REAL,
     AdditiveCharacter,
     Place,
     SquareClass,
     class_bits,
     class_bits_array,
     class_count,
-    hilbert_symbol,
+    frac_part,
     pairing,
     parse_rational,
-    reduce_mod_prime_power,
     square_class,
     valuation,
 )
@@ -69,7 +67,7 @@ REAL_TOL = 1e-6
 
 @dataclass(frozen=True)
 class MultiplicativeCharacter:
-    """chi(x) = hilbert_symbol(x, d) * |x|^s at a fixed place."""
+    """chi(x) = (x, d) |x|^s at a fixed place, d the twist's class."""
 
     place: Place
     s: complex
@@ -97,38 +95,31 @@ class MultiplicativeCharacter:
         # the unit classes are those below the valuation bit
         return any(pairing(u, d, self.place) for u in range(class_count(self.place) // 2))
 
+    def sign(self, x) -> int:
+        """(x, d) as +-1: the pairing of the class bits of x with the twist's."""
+        return -1 if pairing(class_bits(x, self.place), self.twist.bits, self.place) else 1
+
     def value(self, x) -> complex:
         x = parse_rational(x)
         if x == 0:
             raise ZeroDivisionError("character evaluated at 0")
-        sym = -1 if pairing(class_bits(x, self.place), self.twist.bits, self.place) else 1
         if self.place.is_real:
-            mag = abs(float(x))
-        else:
-            mag = float(self.place.p) ** (-valuation(x, self.place.p))
-        return sym * cmath.exp(self.s * math.log(mag))
+            return self.sign(x) * cmath.exp(self.s * math.log(abs(float(x))))
+        p = self.place.p
+        return self.sign(x) * cmath.exp(-valuation(x, p) * self.s * math.log(p))
 
 
 # ---------------------------------------------------------------------------
 # coset-indicator test functions
 
 
-def _coset_key(center: Fraction, level: int, p: int) -> tuple[Fraction, int]:
-    """Canonical representative of center + p^level Z_p in [0, p^level)."""
-    v = valuation(center, p) if center else None
-    if center == 0 or v >= level:
-        return Fraction(0), level
-    j = max(0, -v)
-    # center = M / p^j with M prime to p when j > 0; reduce M mod p^{level+j}.
-    m = reduce_mod_prime_power(center * Fraction(p) ** j, p, level + j)
-    return Fraction(m, p**j), level
-
-
 class CosetFunction:
     """Finite complex combination of p-adic coset indicators.
 
     Terms are stored against canonical coset keys, so two descriptions of
-    the same locally constant function compare equal after merging.
+    the same locally constant function compare equal after merging: the
+    key of c + p^k Z_p is (p^k {c / p^k}_p, k), its representative in
+    [0, p^k).
     """
 
     __slots__ = ("place", "terms")
@@ -139,7 +130,9 @@ class CosetFunction:
         self.place = place
         merged: dict[tuple[Fraction, int], complex] = {}
         for center, level, weight in terms:
-            key = _coset_key(Fraction(center), int(level), place.p)
+            level = int(level)
+            step = Fraction(place.p) ** level
+            key = step * frac_part(Fraction(center) / step, place.p), level
             merged[key] = merged.get(key, 0) + complex(weight)
         self.terms = tuple(
             (r, k, w) for (r, k), w in sorted(merged.items()) if w != 0
@@ -264,16 +257,14 @@ def padic_zeta(phi: CosetFunction, chi: MultiplicativeCharacter) -> complex:
     if chi.s.real <= -1:
         raise ValueError(f"Re(s) = {chi.s.real} outside the convergence range Re(s) > -1")
     p = phi.place.p
-    d = chi.twist.rep
     ramified = chi.is_ramified()
-    logp = math.log(p)
     total = 0j
     for r, k, w in phi.terms:
         if r == 0:
             if ramified:
                 continue
             # sum over shells v = k, k+1, ...: (1 - 1/p) z^v with z = (p,d) p^{-s-1}
-            z = hilbert_symbol(p, d, phi.place) * cmath.exp(-(chi.s + 1) * logp)
+            z = chi.sign(p) * cmath.exp(-(chi.s + 1) * math.log(p))
             total += w * (1 - Fraction(1, p)) * z**k / (1 - z)
             continue
         v = valuation(r, p)
@@ -281,8 +272,7 @@ def padic_zeta(phi: CosetFunction, chi: MultiplicativeCharacter) -> complex:
             refined = CosetFunction(phi.place, [(r, k, w)]).refine(v + 3)
             total += padic_zeta(refined, chi)
             continue
-        sym = hilbert_symbol(r, d, phi.place)
-        total += w * sym * cmath.exp(-v * chi.s * logp) * Fraction(p) ** (-k)
+        total += w * chi.value(r) * Fraction(p) ** (-k)
     return total
 
 
@@ -297,13 +287,52 @@ class FunctionalEquationReport:
     warnings: tuple[str, ...] = ()
 
 
-def _ratio_report(place, s, twist, labeled, zeta_num, zeta_den, zero_tol) -> FunctionalEquationReport:
+def default_padic_test_set(place: Place) -> list[tuple[str, CosetFunction]]:
+    # the deep unit cosets keep ramified characters constant even at p = 2,
+    # where (x, d) only stabilizes on cosets of 1 + 8 Z_2
+    p = place.p
+    return [
+        ("1[Zp]", CosetFunction.ball(place)),
+        ("1[Zp^*]", CosetFunction.units(place)),
+        (f"1[1 + {p}Zp]", CosetFunction.ball(place, 1, 1)),
+        (f"1[{p}Zp]", CosetFunction.ball(place, 0, 1)),
+        (f"1[2 + {p}^2 Zp]", CosetFunction.ball(place, 2, 2)),
+        (f"1[1 + {p}^3 Zp]", CosetFunction.ball(place, 1, 3)),
+        (f"1[3 + {p}^3 Zp]", CosetFunction.ball(place, 3, 3)),
+    ]
+
+
+def tate_check(chi: MultiplicativeCharacter) -> FunctionalEquationReport:
+    """Extract c(chi) = Z(F(phi), chi) / Z(phi, |.|^{-1} chi^{-1}) over the
+    default test functions of chi's place and report how far the ratios
+    spread.
+
+    Requires -1 < Re(s) < 0 so both zeta integrals converge.  A function
+    whose denominator vanishes (every radial one when chi is ramified
+    over Q_p, the odd ones against an even character over R and the even
+    ones against sgn) is excluded with a warning; the zero tolerance is
+    1e-13 for the exact coset sums and 1e-9 for quadrature.
+    """
+    place = chi.place
+    if not -1 < chi.s.real < 0:
+        raise ValueError(f"Re(s) = {chi.s.real} outside the strip (-1, 0)")
+    if place.is_real:
+
+        def zeta(f, c: MultiplicativeCharacter) -> complex:
+            pos = real_zeta(f, c.s, "pos")
+            neg = real_zeta(f, c.s, "neg")
+            return pos - neg if c.twist.bits else pos + neg
+
+        labeled, zero_tol = default_real_test_set(), 1e-9
+    else:
+        zeta, labeled, zero_tol = padic_zeta, default_padic_test_set(place), 1e-13
+    dual = chi.dual()
     rows = []
     ratios = []
     warnings = []
     for label, f in labeled:
-        num = zeta_num(f)
-        den = zeta_den(f)
+        num = zeta(f.fourier(), chi)
+        den = zeta(f, dual)
         row = {
             "phi": label,
             "lhs": num,
@@ -325,47 +354,7 @@ def _ratio_report(place, s, twist, labeled, zeta_num, zeta_den, zero_tol) -> Fun
     )
     c = sum(ratios) / len(ratios)
     return FunctionalEquationReport(
-        place, complex(s), twist, tuple(rows), c, dev, tuple(warnings)
-    )
-
-
-def default_padic_test_set(place: Place) -> list[tuple[str, CosetFunction]]:
-    # the deep unit cosets keep ramified characters constant even at p = 2,
-    # where (x, d) only stabilizes on cosets of 1 + 8 Z_2
-    p = place.p
-    return [
-        ("1[Zp]", CosetFunction.ball(place)),
-        ("1[Zp^*]", CosetFunction.units(place)),
-        (f"1[1 + {p}Zp]", CosetFunction.ball(place, 1, 1)),
-        (f"1[{p}Zp]", CosetFunction.ball(place, 0, 1)),
-        (f"1[2 + {p}^2 Zp]", CosetFunction.ball(place, 2, 2)),
-        (f"1[1 + {p}^3 Zp]", CosetFunction.ball(place, 1, 3)),
-        (f"1[3 + {p}^3 Zp]", CosetFunction.ball(place, 3, 3)),
-    ]
-
-
-def tate_check(chi: MultiplicativeCharacter) -> FunctionalEquationReport:
-    """Extract c(chi) = Z(F(phi), chi) / Z(phi, |.|^{-1} chi^{-1}) over the
-    default test functions and report how far the ratios spread.
-
-    Requires -1 < Re(s) < 0 so both zeta integrals converge.  Functions
-    with a denominator of modulus at most 1e-13 (every radial one, when chi
-    is ramified) are excluded with a warning.
-    """
-    place = chi.place
-    if place.is_real:
-        raise ValueError("use real_tate_check over R")
-    if not -1 < chi.s.real < 0:
-        raise ValueError(f"Re(s) = {chi.s.real} outside the strip (-1, 0)")
-    dual = chi.dual()
-    return _ratio_report(
-        place,
-        chi.s,
-        chi.twist.rep,
-        default_padic_test_set(place),
-        lambda f: padic_zeta(f.fourier(), chi),
-        lambda f: padic_zeta(f, dual),
-        zero_tol=1e-13,
+        place, chi.s, chi.twist.rep, tuple(rows), c, dev, tuple(warnings)
     )
 
 
@@ -488,37 +477,6 @@ def default_real_test_set() -> list[tuple[str, HermiteGaussian]]:
     ]
 
 
-def real_tate_check(s: complex, parity: int = 0) -> FunctionalEquationReport:
-    """Ratio constancy of Z(F f, chi) / Z(f, |.|^{-1} chi^{-1}) over R
-    with chi = sgn^parity |.|^s, on the default test functions.
-
-    Odd test functions integrate to zero against an even character (and
-    even ones against sgn), so they drop out with a warning: a denominator
-    of modulus at most 1e-9 counts as zero.
-    """
-    s = complex(s)
-    if not -1 < s.real < 0:
-        raise ValueError(f"Re(s) = {s.real} outside the strip (-1, 0)")
-    if parity not in (0, 1):
-        raise ValueError("parity must be 0 or 1")
-
-    def zeta(f, exponent) -> complex:
-        pos = real_zeta(f, exponent, "pos")
-        neg = real_zeta(f, exponent, "neg")
-        return pos + neg if parity == 0 else pos - neg
-
-    twist = Fraction(1) if parity == 0 else Fraction(-1)
-    return _ratio_report(
-        REAL,
-        s,
-        twist,
-        default_real_test_set(),
-        lambda f: zeta(f.fourier(), s),
-        lambda f: zeta(f, -1 - s),
-        zero_tol=1e-9,
-    )
-
-
 @dataclass(frozen=True)
 class GammaMatrixReport:
     s: complex
@@ -583,8 +541,10 @@ class Sym3Coset:
         mat = tuple(tuple(int(x) for x in row) for row in center)
         if len(mat) != 3 or any(len(row) != 3 for row in mat):
             raise ValueError("center must be a 3x3 integer matrix")
-        det = SymMatrix.make(mat).det()  # raises unless mat is symmetric
-        if det == 0 or valuation(det, p) >= level:
+        # raises unless mat is symmetric; the elimination is a congruence
+        # of determinant 1, so q.det() is det center when the radical is 0
+        q, radical = diagonalize(SymMatrix.make(mat), Place(p))
+        if radical or valuation(q.det(), p) >= level:
             raise ValueError(
                 "support meets det = 0: need v_p(det center) < level"
             )

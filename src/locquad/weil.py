@@ -77,19 +77,10 @@ class WeilConstant:
     stabilized_at: int | None = None  # exact level m0 of the Gauss-sum oracle; None in closed form
 
 
-def polarized_det(q: QuadraticForm) -> Fraction:
-    d = Fraction(1)
-    for a in q.coeffs:
-        d *= 2 * a
-    return d
-
-
 def polarized_det_abs_rsqrt(q: QuadraticForm) -> float:
-    """|det q|^(-1/2) at the form's place."""
-    d = polarized_det(q)
-    if q.place.is_real:
-        return 1.0 / math.sqrt(abs(d))
-    return float(q.place.p) ** (valuation(d, q.place.p) / 2)
+    """|det q|^(-1/2) at the form's p-adic place, det q = prod(2 a_i)."""
+    p = q.place.p
+    return float(p) ** (sum(valuation(2 * a, p) for a in q.coeffs) / 2)
 
 
 def gauss_levels(a: Rational, psi: AdditiveCharacter) -> tuple[int, complex, complex]:

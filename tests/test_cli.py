@@ -208,10 +208,21 @@ def test_sym_sign_constant_mode(capsys):
     assert set(payload["values"].values()) <= {1, -1}
 
 
-def test_orbits(capsys):
+def test_orbits(capsys, monkeypatch):
+    from locquad import symsign
+
+    walks = []
+    tuples = symsign._class_tuples
+
+    def spy(n, place):
+        walks.append((n, place))
+        return tuples(n, place)
+
+    monkeypatch.setattr(symsign, "_class_tuples", spy)
     rc, payload, _ = run_json(["orbits", "--place", "p:5", "--n", "3"], capsys)
     assert rc == 0
     assert set(payload["orbit_counts"].values()) == {2}
+    assert len(walks) == 1  # one walk counts every det class
 
 
 # the class of -1, the one det class with a single rank-2 orbit
@@ -281,6 +292,38 @@ def test_tate_padic_symbolic_twist(capsys):
 def test_tate_p2_rejects_symbolic_unit_twist(capsys):
     err = usage_error(["tate", "--place", "p:2", "--s", "-0.5", "--twist", "u"], capsys)
     assert "unit classes" in err
+
+
+def test_tate_real_payload_reads_parity_zero_by_default(capsys):
+    rc, payload, _ = run_json(["tate", "--place", "real", "--s", "-0.3"], capsys)
+    assert rc == 0
+    assert payload["parity"] == 0
+    assert payload["ratio_check"]["twist"] == "1"
+
+
+def test_tate_rational_twist_at_p2(capsys):
+    rc, payload, _ = run_json(["tate", "--place", "p:2", "--s", "-0.5", "--twist", "-1"], capsys)
+    assert rc == 0
+    assert payload["twist"] == "-1"
+    assert abs(complex(*payload["c_value"]) - 1j) < 1e-9
+
+
+@pytest.mark.parametrize("twist,message", [("0", "0 is not a square class"), ("abc", "--twist")])
+def test_tate_rejects_a_twist_that_is_no_class(twist, message, capsys):
+    err = usage_error(["tate", "--place", "p:2", "--s", "-0.5", "--twist", twist], capsys)
+    assert message in err
+
+
+@pytest.mark.parametrize("twist", ["5", "up", "1"])
+def test_tate_rejects_a_twist_at_the_real_place(twist, capsys):
+    err = usage_error(["tate", "--place", "real", "--s", "-0.5", "--twist", twist], capsys)
+    assert "--twist" in err and "real place" in err
+
+
+@pytest.mark.parametrize("parity", ["0", "1"])
+def test_tate_rejects_a_parity_at_a_padic_place(parity, capsys):
+    err = usage_error(["tate", "--place", "p:3", "--s", "-0.5", "--parity", parity], capsys)
+    assert "--parity" in err and "p-adic" in err
 
 
 def test_sym3_mc_rejects_p2(capsys):

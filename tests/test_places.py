@@ -252,6 +252,15 @@ def test_additive_character_phases():
     assert abs(psi3(Fraction(1, 3)) * conj(Fraction(1, 3)) - 1) < 1e-15
 
 
+def test_additive_character_phases_at_the_real_place():
+    psi = AdditiveCharacter(REAL)
+    assert psi.phase(Fraction(7, 3)) == Fraction(1, 3)
+    assert psi.phase(Fraction(-1, 4)) == Fraction(3, 4)
+    assert psi.phase(Fraction(2)) == 0
+    assert AdditiveCharacter(REAL, -1).phase(Fraction(7, 3)) == Fraction(2, 3)
+    assert abs(psi(Fraction(1, 4)) - 1j) < 1e-15
+
+
 def test_additive_character_is_a_character():
     psi = AdditiveCharacter(Qp(5))
     xs = [Fraction(1, 25), Fraction(3, 5), Fraction(7, 125)]

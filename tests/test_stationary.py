@@ -7,6 +7,7 @@ import pytest
 
 from locquad.places import Qp, REAL, frac_part
 from locquad.stationary import (
+    PREDICTION_TOL,
     DegenerateCriticalPointError,
     PhasePolynomial,
     compare_stationary,
@@ -14,6 +15,7 @@ from locquad.stationary import (
     exact_oscillatory_integral,
     stationary_phase_prediction,
 )
+from locquad import stationary
 
 
 def brute_integral(f, t, K):
@@ -153,3 +155,31 @@ def test_numerators_are_periodic_in_t(src, p, t):
     assert shifted.conductor == e
     assert shifted.value == exact.value
     assert exact.stabilized
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_two_variable_newton_lift(p, monkeypatch):
+    # the mod-p roots of grad f are not exact critical points, so Newton
+    # takes 2x2 steps; each lifted point must solve grad f = 0 mod p^precision
+    f = PhasePolynomial.parse("x^3 - 6*x + y^2 + x*y", Qp(p))
+    sizes = []
+    step = stationary._matvec_inv_mod
+
+    def spy(H, g, M):
+        sizes.append(len(H))
+        return step(H, g, M)
+
+    monkeypatch.setattr(stationary, "_matvec_inv_mod", spy)
+    pts = critical_points(f)
+    assert len(pts) == 2 and sizes and set(sizes) == {2}
+    for cp in pts:
+        pN = p**cp.precision
+        assert all(stationary._eval_monomials(g, cp.point, pN) == 0 for g in f.gradient())
+    for row in compare_stationary(f, [1, 2]).rows:
+        assert row["abs_diff"] < PREDICTION_TOL
+
+
+def test_unary_minus_in_a_phase():
+    f = PhasePolynomial.parse("-x^3 + 3*x", Qp(7))
+    assert f.monomials == {(3, 0): -1, (1, 0): 3}
+    assert PhasePolynomial.parse("-(x^3 - 3*x)", Qp(7)) == f

@@ -1,5 +1,6 @@
 """Stabilizer forms, the pairing-sign law and congruence orbits."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from locquad.symsign import (
     epsilon_scaling_check,
     expected_orbit_count,
     g_value,
+    orbit_counts,
     orbit_invariant,
     scaling_invariant,
     sl_orbit_count,
@@ -132,6 +134,28 @@ def test_enumerated_orbits_match_the_classification(p, n):
     place = Qp(p)
     for d in square_class_reps(place):
         assert sl_orbit_count(n, d, place) == expected_orbit_count(n, d, place)
+
+
+@pytest.mark.parametrize("place", [REAL, Qp(2), Qp(3), Qp(7)])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_orbit_counts_hold_every_det_class_in_rep_order(n, place):
+    # reference: the invariants of every diagonal form with representative
+    # entries, through QuadraticForm, one det class at a time
+    reps = square_class_reps(place)
+    expected = []
+    for bits in range(len(reps)):
+        invariants = set()
+        for t in itertools.product(reps, repeat=n):
+            q = QuadraticForm(place, t)
+            if q.det_class().bits == bits:
+                invariants.add(q.signature() if place.is_real else q.hasse())
+        expected.append(len(invariants))
+    counts = orbit_counts(n, place)
+    assert list(counts) == list(range(len(reps)))
+    assert list(counts.values()) == expected
+    if place.is_real:
+        # an even or odd number of negative entries
+        assert expected == [n // 2 + 1, (n + 1) // 2]
 
 
 @pytest.mark.parametrize("n,place", [(0, Qp(3)), (3, REAL)])

@@ -16,7 +16,7 @@ import pytest
 from scipy.integrate import quad
 
 from locquad.charsum import BudgetError
-from locquad.forms import SymMatrix, form_of_matrix
+from locquad.forms import SymMatrix, diagonalize, form_of_matrix
 from locquad.places import AdditiveCharacter, Qp, REAL, class_bits, frac_part, square_class_reps, valuation
 from locquad.tate import (
     CosetFunction,
@@ -27,7 +27,6 @@ from locquad.tate import (
     padic_sym3_mc_check,
     padic_zeta,
     real_gamma_matrix_check,
-    real_tate_check,
     real_zeta,
     sym3_classes,
     sym3_fourier_value,
@@ -64,6 +63,17 @@ def test_ramification_odd_p():
         assert flags == [False, False, True, True]
 
 
+def test_character_at_the_real_place():
+    sgn = MultiplicativeCharacter.make(REAL, -0.5, -1)
+    assert sgn.is_ramified()
+    assert not MultiplicativeCharacter.make(REAL, -0.5, 1).is_ramified()
+    assert (sgn.sign(Fraction(-3)), sgn.sign(Fraction(3))) == (-1, 1)
+    assert abs(sgn.value(Fraction(-4)) + 0.5) < 1e-15
+    assert abs(sgn.value(Fraction(1, 4)) - 2) < 1e-15
+    even = MultiplicativeCharacter.make(REAL, -0.5 + 1j, 1)
+    assert abs(even.value(-2) - cmath.exp((-0.5 + 1j) * math.log(2))) < 1e-15
+
+
 def test_ramification_p2():
     # Q_2(sqrt(5)) is the unramified quadratic extension
     expected = {1: False, 5: False, -1: True, -5: True, 2: True, -2: True, 10: True, -10: True}
@@ -73,6 +83,17 @@ def test_ramification_p2():
 
 
 # -- coset functions ----------------------------------------------------------
+
+
+def test_coset_keys_are_the_representatives_in_0_to_p_k():
+    # v(c) < k, v(c) >= k, v(c) < 0 and c = 0, at nonnegative and negative k
+    p = 3
+    for c, k in [(Fraction(7), 2), (Fraction(18), 2), (Fraction(5, 9), 1), (Fraction(5, 9), -1), (Fraction(0), 3), (Fraction(2, 27), -2)]:
+        ((r, level, w),) = CosetFunction.ball(Qp(p), c, k).terms
+        assert (level, w) == (k, 1)
+        assert 0 <= r < Fraction(p) ** k
+        assert r.denominator in (1, p, p**2, p**3)
+        assert c == r or valuation(c - r, p) >= k
 
 
 def test_indicator_point_values():
@@ -339,22 +360,36 @@ def test_real_zeta_gaussian_gamma_closed_form():
 
 
 def test_real_tate_check_is_one_at_central_point():
-    rep = real_tate_check(-0.5)
+    rep = tate_check(MultiplicativeCharacter.make(REAL, -0.5, 1))
     assert abs(rep.c_value - 1) < 1e-10
     assert rep.max_deviation < 1e-8
     assert any("odd" in w for w in rep.warnings)
 
 
 def test_real_tate_check_odd_family():
-    rep = real_tate_check(-0.45, parity=1)
+    rep = tate_check(MultiplicativeCharacter.make(REAL, -0.45, -1))
     assert rep.max_deviation < 1e-8
+
+
+@pytest.mark.parametrize("s", [-0.3, -0.45, -0.7])
+def test_real_tate_constant_matches_the_gaussian_closed_forms(s):
+    # F fixes exp(-pi x^2) and sends x exp(-pi x^2) to i x exp(-pi x^2), and
+    # the integral of |x|^a exp(-pi x^2) is pi^(-(a+1)/2) Gamma((a+1)/2)
+    def moment(a):
+        return math.pi ** (-(a + 1) / 2) * math.gamma((a + 1) / 2)
+
+    even = tate_check(MultiplicativeCharacter.make(REAL, s, 1))
+    odd = tate_check(MultiplicativeCharacter.make(REAL, s, -1))
+    assert abs(even.c_value - moment(s) / moment(-1 - s)) < 1e-10
+    assert abs(odd.c_value - 1j * moment(s + 1) / moment(-s)) < 1e-10
+    assert (even.twist, odd.twist) == (1, -1)
 
 
 def test_real_tate_strip_precondition():
     with pytest.raises(ValueError):
-        real_tate_check(0.5)
+        tate_check(MultiplicativeCharacter.make(REAL, 0.5, 1))
     with pytest.raises(ValueError):
-        real_tate_check(-1.0)
+        tate_check(MultiplicativeCharacter.make(REAL, -1.0, 1))
 
 
 @pytest.mark.parametrize("s", [-0.3, -0.5, -0.7])
@@ -512,8 +547,7 @@ def test_sym3_classes_match_exact_diagonalisation(p):
     x = flat[:, [[0, 3, 4], [3, 1, 5], [4, 5, 2]]]
     # d1 != 0, d2 = 0, d3 != 0: x00 x11 = x01^2
     x = np.concatenate([x, np.array([[[1, 1, 0], [1, 1, 1], [0, 1, 1]], [[p, p, 1], [p, p, 0], [1, 0, 2]]])])
-    dets = np.array([SymMatrix.make(m.tolist()).det() for m in x])
-    x = x[dets != 0]
+    x = x[[diagonalize(SymMatrix.make(m.tolist()), Qp(p))[1] == 0 for m in x]]
     d1, d2 = x[:, 0, 0], x[:, 0, 0] * x[:, 1, 1] - x[:, 0, 1] ** 2
     assert ((d1 == 0).sum() > 100) and ((d1 != 0) & (d2 == 0)).sum() >= 2
     hasse, det_bits, vdet = sym3_classes(x[:, [0, 1, 2, 0, 0, 1], [0, 1, 2, 1, 2, 2]], Qp(p))
